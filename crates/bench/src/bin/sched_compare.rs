@@ -1,22 +1,18 @@
-//! Head-to-head timing of the two parallel schedulers: the legacy static
-//! modulo sharding vs the work-stealing batch queue behind `Session` —
-//! plus a prefix-cache A/B mode.
+//! Prefix-cache A/B timing: the same check with the prefix cache on and
+//! off.
 //!
 //! ```text
-//! cargo run --release -p walshcheck-bench --bin sched_compare [threads] [samples] [gadget ...]
 //! cargo run --release -p walshcheck-bench --bin sched_compare -- --cache-ab [threads] [samples] [gadget ...]
 //! ```
 //!
-//! Defaults: 4 threads, 5 samples, `dom-2` and `keccak-1`. In scheduler
-//! mode both runs check the paper property with the MAPI engine; in
-//! `--cache-ab` mode the same check is timed with the prefix cache on and
-//! off (see `cache_ab_property`). Verdict (and, for the cache mode,
-//! witness) agreement is asserted inside the harness, so a row printing at
-//! all means the two configurations agree. The cache mode exits nonzero if
+//! Defaults: 4 threads, 5 samples, `dom-2` and `keccak-1`. The check is
+//! timed with the prefix cache on and off (see `cache_ab_property`).
+//! Verdict and witness agreement is asserted inside the harness, so a row
+//! printing at all means the two configurations agree. Exits nonzero if
 //! the cached run is slower than the uncached one on `dom-2`, making it
 //! usable as a CI smoke test against cache regressions.
 
-use walshcheck_bench::{compare_cache_modes, compare_schedulers};
+use walshcheck_bench::compare_cache_modes;
 use walshcheck_gadgets::suite::Benchmark;
 
 fn parse_gadget(name: &str) -> Option<Benchmark> {
@@ -35,21 +31,6 @@ fn parse_common(args: impl Iterator<Item = String>) -> (usize, usize, Vec<Benchm
             .collect()
     };
     (threads, samples, gadgets)
-}
-
-fn scheduler_mode(args: impl Iterator<Item = String>) {
-    let (threads, samples, gadgets) = parse_common(args);
-    println!(
-        "{:<12} {:>7} {:>12} {:>14} {:>8}",
-        "gadget", "threads", "modulo", "work-stealing", "speedup"
-    );
-    for bench in gadgets {
-        let c = compare_schedulers(bench, threads, samples);
-        println!(
-            "{:<12} {:>7} {:>12.4?} {:>14.4?} {:>7.2}x",
-            c.gadget, c.threads, c.modulo, c.stealing, c.speedup
-        );
-    }
 }
 
 fn cache_ab_mode(args: impl Iterator<Item = String>) {
@@ -76,11 +57,10 @@ fn cache_ab_mode(args: impl Iterator<Item = String>) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("--cache-ab") {
-        args.next();
-        cache_ab_mode(args);
-    } else {
-        scheduler_mode(args);
+    let mut args = std::env::args().skip(1);
+    if args.next().as_deref() != Some("--cache-ab") {
+        eprintln!("usage: sched_compare --cache-ab [threads] [samples] [gadget ...]");
+        std::process::exit(2);
     }
+    cache_ab_mode(args);
 }

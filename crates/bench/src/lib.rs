@@ -28,7 +28,6 @@ use walshcheck_core::property::Property;
 use walshcheck_core::report::json_escape;
 use walshcheck_core::session::Session;
 use walshcheck_core::sites::SiteOptions;
-use walshcheck_core::Backend;
 use walshcheck_gadgets::suite::Benchmark;
 
 /// Timing and outcome of one verification run.
@@ -170,68 +169,6 @@ pub fn run_silver_like(bench: Benchmark) -> Option<RunResult> {
     })
 }
 
-/// One row of the parallel-scheduler comparison: the same check timed under
-/// the old static modulo sharding and the work-stealing batch scheduler.
-#[derive(Debug, Clone)]
-pub struct SchedComparison {
-    /// Gadget name.
-    pub gadget: String,
-    /// Worker-thread count of both runs.
-    pub threads: usize,
-    /// Median wall time of the modulo-sharded baseline.
-    pub modulo: Duration,
-    /// Median wall time of the work-stealing scheduler.
-    pub stealing: Duration,
-    /// `modulo / stealing` (> 1 means the scheduler wins).
-    pub speedup: f64,
-}
-
-/// Times the paper-configuration SNI check of `bench` at `threads` workers
-/// under both parallel back-ends, `samples` times each (median reported).
-/// Both timings include the full run — netlist setup, unfolding and
-/// enumeration — exactly as a caller would pay for them.
-///
-/// # Panics
-///
-/// Panics if the generated benchmark netlist is invalid (a bug), or if the
-/// two back-ends disagree on the verdict (the scheduler's determinism
-/// guarantee would be broken).
-pub fn compare_schedulers(bench: Benchmark, threads: usize, samples: usize) -> SchedComparison {
-    let netlist = bench.netlist();
-    let property = paper_property(bench);
-    let options = VerifyOptions::paper(EngineKind::Mapi);
-    let mut modulo_s = Vec::new();
-    let mut stealing_s = Vec::new();
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        let old = walshcheck_core::check_parallel_modulo(&netlist, property, &options, threads)
-            .expect("benchmark netlists are valid");
-        modulo_s.push(secs(start.elapsed()));
-
-        let start = Instant::now();
-        let new = Session::new(&netlist)
-            .expect("benchmark netlists are valid")
-            .property(property)
-            .options(options.clone())
-            .threads(threads)
-            .run();
-        stealing_s.push(secs(start.elapsed()));
-        assert_eq!(
-            old.secure, new.secure,
-            "{bench}: scheduler verdicts diverge"
-        );
-    }
-    let modulo = Duration::from_secs_f64(median(&mut modulo_s));
-    let stealing = Duration::from_secs_f64(median(&mut stealing_s));
-    SchedComparison {
-        gadget: bench.name(),
-        threads,
-        modulo,
-        stealing,
-        speedup: secs(modulo) / secs(stealing).max(1e-9),
-    }
-}
-
 /// One row of the prefix-cache A/B comparison: the same check timed with
 /// the cache enabled and disabled.
 #[derive(Debug, Clone)]
@@ -320,85 +257,9 @@ pub fn compare_cache_modes(bench: Benchmark, threads: usize, samples: usize) -> 
     }
 }
 
-/// One row of the DD-backend A/B comparison: the same check timed on the
-/// per-worker private arenas and on the shared concurrent store.
-#[derive(Debug, Clone)]
-pub struct BackendComparison {
-    /// Gadget name.
-    pub gadget: String,
-    /// Worker-thread count of both runs.
-    pub threads: usize,
-    /// Median wall time on [`Backend::Private`].
-    pub private: Duration,
-    /// Median wall time on [`Backend::Shared`].
-    pub shared: Duration,
-    /// `shared / private` (< 1 means the shared store wins; at one thread
-    /// this is the shared backend's synchronization overhead).
-    pub overhead: f64,
-}
-
-/// Times the paper-configuration SNI check of `bench` at `threads` workers
-/// on both DD backends, `samples` times each (median reported).
-///
-/// The backend is a pure speed/memory knob (DESIGN.md §14), so the harness
-/// asserts verdict *and* witness equality before reporting a row.
-///
-/// # Panics
-///
-/// Panics if the generated benchmark netlist is invalid (a bug), or if the
-/// two backends disagree on the verdict or witness (the backend-neutrality
-/// guarantee would be broken).
-pub fn compare_backends(bench: Benchmark, threads: usize, samples: usize) -> BackendComparison {
-    let netlist = bench.netlist();
-    let property = paper_property(bench);
-    let options = VerifyOptions::paper(EngineKind::Mapi);
-    let run = |backend: Backend| {
-        let mut session = Session::new(&netlist)
-            .expect("benchmark netlists are valid")
-            .property(property)
-            .options(options.clone())
-            .dd_backend(backend)
-            .threads(threads);
-        let start = Instant::now();
-        let verdict = session.run();
-        (secs(start.elapsed()), verdict)
-    };
-    let mut private_s = Vec::new();
-    let mut shared_s = Vec::new();
-    let mut ratios = Vec::new();
-    for i in 0..samples.max(1) {
-        // Alternate which backend goes first: whichever runs second in a
-        // pair inherits the first's allocator and branch-predictor state,
-        // and flipping the order each iteration cancels that bias.
-        let ((t_p, p), (t_s, s)) = if i % 2 == 0 {
-            let p = run(Backend::Private);
-            (p, run(Backend::Shared))
-        } else {
-            let s = run(Backend::Shared);
-            (run(Backend::Private), s)
-        };
-        private_s.push(t_p);
-        shared_s.push(t_s);
-        ratios.push(t_s / t_p.max(1e-9));
-        assert_eq!(p.secure, s.secure, "{bench}: backend changes the verdict");
-        assert_eq!(p.witness, s.witness, "{bench}: backend changes the witness");
-    }
-    // The overhead is the median of the *paired* per-iteration ratios, not
-    // the ratio of the medians: the backends alternate within one process,
-    // so pairing cancels the machine's frequency and load drift, which on
-    // a busy box is larger than the effect being measured.
-    BackendComparison {
-        gadget: bench.name(),
-        threads,
-        private: Duration::from_secs_f64(median(&mut private_s)),
-        shared: Duration::from_secs_f64(median(&mut shared_s)),
-        overhead: median(&mut ratios),
-    }
-}
-
 /// Serializes a [`Json`] value with two-space indentation — the perf
 /// trajectory files (BENCH_*.json) are checked into the repository, so they
-/// should diff well. Shared by the `report` and `bench_backends` binaries.
+/// should diff well.
 pub fn emit_json_pretty(j: &Json) -> String {
     fn emit(j: &Json, indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);

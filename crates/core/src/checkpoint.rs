@@ -179,10 +179,8 @@ impl Checkpoint {
 /// per-combination results (engine, mode, site extraction, prefilter,
 /// largest-first, node budget, presift). Deliberately excluded:
 /// `time_limit` (a resumed run usually changes it), `threads` (results are
-/// thread-count independent by design), the prefix cache knobs (proven
-/// verdict-neutral, DESIGN.md §9), and the DD backend (byte-identical
-/// results by construction, DESIGN.md §14 — a run checkpointed on one
-/// backend may resume on the other).
+/// thread-count independent by design) and the prefix cache knobs (proven
+/// verdict-neutral, DESIGN.md §9).
 pub fn fingerprint(netlist: &Netlist, property: Property, options: &VerifyOptions) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut write = |bytes: &[u8]| {

@@ -20,15 +20,12 @@
 
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use walshcheck_circuit::glitch::ProbeModel;
 use walshcheck_circuit::netlist::{Netlist, NetlistError};
 use walshcheck_circuit::unfold::{unfold, Unfolded};
 use walshcheck_dd::add::{Add, AddManager};
-use walshcheck_dd::backend::{Backend, DdBackend, DdConfig, Private};
 use walshcheck_dd::bdd::{Bdd, BddManager};
 use walshcheck_dd::dyadic::Dyadic;
 use walshcheck_dd::spectral::{sign_add, walsh_sparse, wht_with, SparseWalshCache, WhtMemo};
@@ -184,18 +181,11 @@ pub struct VerifyOptions {
     /// Byte budget of each worker's prefix cache (least-recently-used
     /// eviction above it). `0` disables caching like `cache = false`.
     pub cache_budget: usize,
-    /// Node-store backend for the engines' decision diagrams (see
-    /// [`walshcheck_dd::backend`]): [`Backend::Private`] gives each worker
-    /// its own managers, [`Backend::Shared`] one concurrent store per run.
-    /// Purely a speed knob — verdicts, witnesses and report artifacts are
-    /// byte-identical either way, so it is excluded from job identity.
-    /// Defaults to the `WALSHCHECK_DD_BACKEND` environment variable.
-    pub backend: Backend,
     /// Greedily sift the unfolded wire functions into a smaller variable
     /// order before enumerating ([`walshcheck_dd::reorder::sift`]); witness
     /// coordinates are mapped back to the original numbering. Changes which
-    /// diagrams are built, so — unlike `backend` — it is part of job
-    /// identity.
+    /// diagrams are built, so — unlike the speed knobs below — it is part
+    /// of job identity.
     pub presift: bool,
     /// Support width at or below which spectral kernels (map convolution,
     /// sparse Walsh transforms, the ADD WHT) drop to a flat integer
@@ -236,7 +226,6 @@ impl Default for VerifyOptions {
             node_budget: None,
             cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            backend: Backend::from_env(),
             presift: false,
             dense_cut: DEFAULT_DENSE_CUT,
             sift: SiftMode::Rescue,
@@ -265,7 +254,6 @@ impl VerifyOptions {
             node_budget: None,
             cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            backend: Backend::from_env(),
             presift: false,
             dense_cut: DEFAULT_DENSE_CUT,
             sift: SiftMode::Rescue,
@@ -377,12 +365,6 @@ impl VerifyOptionsBuilder {
         self
     }
 
-    /// Node-store backend (see [`VerifyOptions::backend`]).
-    pub fn dd_backend(mut self, backend: Backend) -> Self {
-        self.options.backend = backend;
-        self
-    }
-
     /// Pre-enumeration sifting on/off (see [`VerifyOptions::presift`]).
     pub fn presift(mut self, on: bool) -> Self {
         self.options.presift = on;
@@ -405,18 +387,6 @@ impl VerifyOptionsBuilder {
     pub fn build(self) -> VerifyOptions {
         self.options
     }
-}
-
-/// Work-distribution knobs for one enumeration pass. Scheduler-internal:
-/// this is what the old `VerifyOptions::{shard, cancel}` fields became.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EnumControl {
-    /// Only combinations whose first site index is congruent to `tid`
-    /// modulo `count` are processed (static modulo sharding).
-    pub(crate) shard: Option<(u32, u32)>,
-    /// Cooperative cancellation: when set by another worker the run stops
-    /// early (the local verdict is then moot).
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
 }
 
 /// Variable-order bookkeeping of an applied pre-enumeration sift: the
@@ -511,24 +481,12 @@ impl Verifier {
 
     /// Checks `property` with the default options (MAPI engine, joint mode).
     pub fn check_default(&mut self, property: Property) -> Verdict {
-        self.check_with_control(property, &VerifyOptions::default(), &EnumControl::default())
-    }
-
-    /// Serial check of `property` under `options` with explicit
-    /// work-distribution control — the primitive behind both the serial
-    /// path and the modulo-shard baseline. Public entry points are
-    /// [`crate::Session`] and [`crate::Job`].
-    pub(crate) fn check_with_control(
-        &mut self,
-        property: Property,
-        options: &VerifyOptions,
-        control: &EnumControl,
-    ) -> Verdict {
         let mut witness: Option<Witness> = None;
-        let (stats, skipped) = self.run_enumeration(property, options, control, &mut |w| {
-            witness = Some(w);
-            ControlFlow::Break(())
-        });
+        let (stats, skipped) =
+            self.run_enumeration(property, &VerifyOptions::default(), &mut |w| {
+                witness = Some(w);
+                ControlFlow::Break(())
+            });
         Verdict::conclude(property, witness, skipped, stats)
     }
 
@@ -556,56 +514,32 @@ impl Verifier {
         limit: usize,
     ) -> (Vec<Witness>, Vec<SkippedCombination>, CheckStats) {
         let mut found = Vec::new();
-        let (stats, skipped) =
-            self.run_enumeration(property, options, &EnumControl::default(), &mut |w| {
-                found.push(w);
-                if found.len() >= limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
+        let (stats, skipped) = self.run_enumeration(property, options, &mut |w| {
+            found.push(w);
+            if found.len() >= limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
         (found, skipped, stats)
     }
 
-    /// The runtime [`DdBackend`] for one verification run under `options`.
-    /// For [`Backend::Shared`] this allocates the run's single concurrent
-    /// store (sized from the cache budget like the private managers would
-    /// be), so call it once per run and hand the reference to every worker.
-    pub(crate) fn runtime_backend(options: &VerifyOptions) -> Box<dyn DdBackend> {
-        walshcheck_dd::backend::runtime(
-            options.backend,
-            add_apply_limit(effective_cache_budget(options)),
-        )
-    }
-
-    /// Prepares the per-run enumeration state on the default private
-    /// backend — the rescue ladder and diagnosis paths, which re-check a
-    /// handful of combinations, never benefit from a shared store.
+    /// Prepares the per-run enumeration state: the (deterministic) probe
+    /// sites, the resolved check mode, and a fresh engine context with its
+    /// own decision-diagram managers. Shared between the serial
+    /// enumeration and the scheduler's workers.
     pub(crate) fn begin_enumeration(
         &self,
         property: Property,
         options: &VerifyOptions,
     ) -> EnumState {
-        self.begin_enumeration_with(property, options, &Private)
-    }
-
-    /// Prepares the per-run enumeration state: the (deterministic) probe
-    /// sites, the resolved check mode, and a fresh engine context with
-    /// managers from `dd`. Shared between the serial enumeration and the
-    /// scheduler's workers.
-    pub(crate) fn begin_enumeration_with(
-        &self,
-        property: Property,
-        options: &VerifyOptions,
-        dd: &dyn DdBackend,
-    ) -> EnumState {
         let sites = extract_sites(&self.netlist, &self.unfolded, &options.sites)
             .expect("netlist validated in Verifier::new");
-        self.begin_with_sites(sites, property, options, dd)
+        self.begin_with_sites(sites, property, options)
     }
 
-    /// [`Verifier::begin_enumeration_with`] with an explicit site list. The
+    /// [`Verifier::begin_enumeration`] with an explicit site list. The
     /// rescue pass re-checks combinations against the sweep's exact sites
     /// (cloned from its state) instead of re-extracting them, so a rescue
     /// attempt under different options still indexes the same tuples.
@@ -614,7 +548,6 @@ impl Verifier {
         sites: Vec<Site>,
         property: Property,
         options: &VerifyOptions,
-        dd: &dyn DdBackend,
     ) -> EnumState {
         // Probing security is a per-coefficient property: joint mode
         // degenerates to the row-wise region test.
@@ -629,7 +562,6 @@ impl Verifier {
             effective_cache_budget(options),
             options.node_budget,
             options.dense_cut,
-            dd,
         );
         let sift_screen = self.build_sift_screen(&sites, options);
         EnumState {
@@ -677,16 +609,12 @@ impl Verifier {
                 support: permute(s.support),
             })
             .collect();
-        // The screen's manager is private by construction, so its context
-        // is too — even on shared-backend runs, where the canonical context
-        // above it interns into the run-wide store.
         let ctx = EngineCtx::new(
             options.engine,
             self.varmap.num_vars as u32,
             effective_cache_budget(options),
             None,
             options.dense_cut,
-            &Private,
         );
         Some(SiftScreen {
             manager: sifted.manager,
@@ -709,7 +637,7 @@ impl Verifier {
         idxs: &[usize],
         stats: &mut CheckStats,
     ) -> ComboStep {
-        let mut state = self.begin_with_sites(sites.to_vec(), property, options, &Private);
+        let mut state = self.begin_with_sites(sites.to_vec(), property, options);
         // Rescue attempts re-check a single combination: re-sifting the
         // whole forest to screen one tuple would cost more than the check.
         state.sift_screen = None;
@@ -770,7 +698,6 @@ impl Verifier {
             effective_cache_budget(options),
             options.node_budget,
             options.dense_cut,
-            &Private,
         );
         ctx.begin_tuple(&refs);
         // Local indices are the throwaway context's cache keys; they never
@@ -889,7 +816,6 @@ impl Verifier {
         &mut self,
         property: Property,
         options: &VerifyOptions,
-        control: &EnumControl,
         on_witness: &mut dyn FnMut(Witness) -> ControlFlow<()>,
     ) -> (CheckStats, Vec<SkippedCombination>) {
         crate::isolate::install_quiet_hook();
@@ -897,8 +823,7 @@ impl Verifier {
         if options.presift {
             self.apply_presift();
         }
-        let dd = Self::runtime_backend(options);
-        let mut state = self.begin_enumeration_with(property, options, dd.as_ref());
+        let mut state = self.begin_enumeration(property, options);
         let d = property.order() as usize;
         let mut stats = CheckStats::default();
         let mut skipped: Vec<SkippedCombination> = Vec::new();
@@ -911,30 +836,18 @@ impl Verifier {
         };
 
         let this = &*self;
-        // Position in the deterministic global enumeration order — counted
-        // over *all* combinations (including sharded-out ones) so indices
-        // agree with the scheduler's batch indices and across shard counts.
+        // Position in the deterministic global enumeration order, so
+        // indices agree with the scheduler's batch indices.
         let mut index: u64 = 0;
         'sizes: for k in sizes {
             let flow = for_each_combination(state.sites.len(), k, &mut |idxs| {
                 let my_index = index;
                 index += 1;
-                if let Some((tid, count)) = control.shard {
-                    if idxs[0] as u32 % count != tid {
-                        return ControlFlow::Continue(());
-                    }
-                }
                 stats.combinations += 1;
                 if stats.combinations % 256 == 1 {
                     if crate::shutdown::requested() {
                         stats.interrupted = true;
                         return ControlFlow::Break(());
-                    }
-                    if let Some(flag) = &control.cancel {
-                        if flag.load(Ordering::Relaxed) {
-                            stats.timed_out = true;
-                            return ControlFlow::Break(());
-                        }
                     }
                     state.ctx.maybe_collect();
                 }
@@ -947,14 +860,7 @@ impl Verifier {
                     }
                 }
                 match crate::isolate::check_isolated(
-                    this,
-                    &mut state,
-                    property,
-                    options,
-                    dd.as_ref(),
-                    my_index,
-                    idxs,
-                    &mut stats,
+                    this, &mut state, property, options, my_index, idxs, &mut stats,
                 ) {
                     Ok(ComboStep::Clean | ComboStep::Pruned) => ControlFlow::Continue(()),
                     Ok(ComboStep::Violation(w)) => on_witness(w),
@@ -1127,7 +1033,6 @@ impl Verifier {
             effective_cache_budget(options),
             None,
             options.dense_cut,
-            &Private,
         );
         let mut stats = CheckStats::default();
         let hit = ctx.check_combination(
@@ -1146,86 +1051,6 @@ impl Verifier {
             coefficient,
         })
     }
-}
-
-/// The pre-scheduler parallel check: static modulo sharding by leading site
-/// index, one full enumeration pass per worker. Kept (hidden) as the
-/// baseline that `walshcheck-bench`'s scheduler comparison measures the
-/// work-stealing scheduler against.
-///
-/// # Errors
-///
-/// Fails if the netlist is structurally invalid or cyclic.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (a bug in the engine).
-#[doc(hidden)]
-pub fn check_parallel_modulo(
-    netlist: &Netlist,
-    property: Property,
-    options: &VerifyOptions,
-    threads: usize,
-) -> Result<Verdict, NetlistError> {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return Ok(Verifier::new(netlist)?.check_with_control(
-            property,
-            options,
-            &EnumControl::default(),
-        ));
-    }
-    // Validate up front so workers can't race on the error.
-    netlist.validate()?;
-    let flag = Arc::new(AtomicBool::new(false));
-    let verdicts: Vec<Verdict> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let control = EnumControl {
-                    shard: Some((tid as u32, threads as u32)),
-                    cancel: Some(Arc::clone(&flag)),
-                };
-                let flag = Arc::clone(&flag);
-                scope.spawn(move || {
-                    let mut verifier = Verifier::new(netlist).expect("validated before spawning");
-                    let verdict = verifier.check_with_control(property, options, &control);
-                    if !verdict.secure {
-                        flag.store(true, Ordering::Relaxed);
-                    }
-                    verdict
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Merge: any witness wins; otherwise aggregate the counters.
-    let any_witness = verdicts.iter().any(|v| !v.secure);
-    let mut merged_stats = crate::property::CheckStats::default();
-    let mut witness: Option<Witness> = None;
-    let mut skipped: Vec<SkippedCombination> = Vec::new();
-    for v in verdicts {
-        let mut stats = v.stats.clone();
-        // A found witness is a complete answer — one leaking combination
-        // disproves the property no matter how much of the space went
-        // unexplored — so `timed_out` is cleared when *any* worker found
-        // one. Workers stopped by cross-thread cancellation (because a
-        // witness exists) are complete for our purposes; only a genuine
-        // time-limit stop on an otherwise-clean run makes the merged
-        // verdict partial. Pinned by `witness_is_definitive_even_under_
-        // timeout` (property.rs) and `timeout_with_witness_is_violated`
-        // (tests/resilience.rs); the scheduler merge mirrors this.
-        stats.timed_out = stats.timed_out && !any_witness;
-        merged_stats.merge(&stats);
-        if !v.secure && witness.is_none() {
-            witness = v.witness;
-        }
-        skipped.extend(v.skipped);
-    }
-    skipped.sort_by_key(|s| s.index);
-    Ok(Verdict::conclude(property, witness, skipped, merged_stats))
 }
 
 /// The forbidden region for `property` on a combination of `s` observations
@@ -1325,6 +1150,24 @@ fn add_apply_limit(cache_budget: usize) -> Option<usize> {
     (cache_budget > 0).then(|| (cache_budget / 17).clamp(1 << 14, 1 << 22))
 }
 
+/// Fresh decision-diagram managers for an engine context: the ADD apply
+/// caches sized from the cache byte budget (see [`add_apply_limit`]), and
+/// both managers under the per-combination node budget.
+fn fresh_managers(
+    num_vars: u32,
+    cache_budget: usize,
+    node_budget: Option<usize>,
+) -> (AddManager<Dyadic>, BddManager) {
+    let mut adds = AddManager::new(num_vars);
+    if let Some(limit) = add_apply_limit(cache_budget) {
+        adds.set_apply_cache_limit(limit);
+    }
+    adds.set_node_budget(node_budget);
+    let mut t_bdds = BddManager::new(num_vars);
+    t_bdds.set_node_budget(node_budget);
+    (adds, t_bdds)
+}
+
 /// How one combination's correlation rows will be produced.
 enum RowPlan<S> {
     /// Streaming DFS over the per-site groups (cache off, or the prefix
@@ -1368,11 +1211,6 @@ struct EngineCtx {
     /// only managers that grow while checking a tuple) plus a deterministic
     /// row-count pre-charge; `None` disables budgeting.
     node_budget: Option<usize>,
-    /// Whether `adds` / `t_bdds` intern into a run-wide shared store; if
-    /// so, [`EngineCtx::maybe_collect`] must not throw them away (the
-    /// store is not reclaimed by dropping one manager, and other workers'
-    /// handles stay live in it).
-    shared: bool,
     map_prefix: PrefixCache<Rc<RowList<MapSpectrum>>>,
     lil_prefix: PrefixCache<Rc<RowList<LilSpectrum>>>,
     add_prefix: PrefixCache<Rc<Vec<Option<Add>>>>,
@@ -1385,17 +1223,10 @@ impl EngineCtx {
         cache_budget: usize,
         node_budget: Option<usize>,
         dense_cut: u32,
-        dd: &dyn DdBackend,
     ) -> Self {
-        let cfg = DdConfig {
-            apply_cache_limit: add_apply_limit(cache_budget),
-            node_budget,
-        };
-        let adds = dd.add_manager(num_vars, &cfg);
-        let t_bdds = dd.bdd_manager(num_vars, &cfg);
+        let (adds, t_bdds) = fresh_managers(num_vars, cache_budget, node_budget);
         EngineCtx {
             kind,
-            shared: dd.kind() == Backend::Shared,
             // The base-spectrum memos predate the prefix caches and stay on
             // even with caching disabled (cache_budget 0 ⇒ unbounded, the
             // pre-PR-10 behavior); a configured budget bounds them too.
@@ -1449,22 +1280,9 @@ impl EngineCtx {
     /// cache is invalidated too (the spectrum prefix caches survive).
     fn maybe_collect(&mut self) {
         const NODE_LIMIT: usize = 4_000_000;
-        // On the shared backend the arena is run-wide and append-only:
-        // dropping this worker's managers frees nothing and would orphan
-        // the cached T matrices for no benefit, so collection is a no-op
-        // (the store is sized for the run and dies with it).
-        if self.shared {
-            return;
-        }
         if self.adds.arena_size() > NODE_LIMIT || self.t_bdds.arena_size() > NODE_LIMIT {
-            let n = self.t_bdds.num_vars();
-            self.adds = AddManager::new(self.adds.num_vars());
-            if let Some(limit) = add_apply_limit(self.cache_budget) {
-                self.adds.set_apply_cache_limit(limit);
-            }
-            self.adds.set_node_budget(self.node_budget);
-            self.t_bdds = BddManager::new(n);
-            self.t_bdds.set_node_budget(self.node_budget);
+            (self.adds, self.t_bdds) =
+                fresh_managers(self.adds.num_vars(), self.cache_budget, self.node_budget);
             self.t_cache.clear();
             self.sign_base.clear();
             self.add_prefix.clear();
@@ -1892,8 +1710,8 @@ impl EngineCtx {
 
     /// FUJITA's [`RowPlan`]: sign-ADD groups per site, with the proper
     /// prefix's accumulated sign products cached like the spectrum paths
-    /// (ADD handles are cheap to store; the nodes live in the shared arena,
-    /// whose growth [`EngineCtx::maybe_collect`] bounds separately).
+    /// (ADD handles are cheap to store; the nodes live in the context's ADD
+    /// arena, whose growth [`EngineCtx::maybe_collect`] bounds separately).
     fn sign_plan(
         &mut self,
         bdds: &BddManager,

@@ -21,7 +21,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use walshcheck_dd::backend::DdBackend;
 use walshcheck_dd::budget::CapacityExceeded;
 
 use crate::engine::{ComboStep, EnumState, Verifier, VerifyOptions};
@@ -61,10 +60,8 @@ pub(crate) fn classify(payload: &(dyn Any + Send)) -> IncompleteReason {
 ///
 /// On a panic the combination is classified (`Err(reason)`), the old engine
 /// context's cache counters are folded into `stats`, `stats.skipped` is
-/// bumped, and `state` is rebuilt cold **on the run's backend** (`dd`) — on
-/// the shared backend a rebuilt context keeps interning into the run-wide
-/// store (whose handles are never invalidated), only its per-context caches
-/// start empty. Rebuilding cold is also what keeps tiny-budget quarantine
+/// bumped, and `state` is rebuilt cold with fresh managers and empty
+/// caches. Rebuilding cold is also what keeps tiny-budget quarantine
 /// lists thread-count-independent: those budgets trip on the deterministic
 /// tuple-estimate pre-charge, so the next tuple's fate is a pure function
 /// of the tuple itself.
@@ -74,7 +71,6 @@ pub(crate) fn check_isolated(
     state: &mut EnumState,
     property: Property,
     options: &VerifyOptions,
-    dd: &dyn DdBackend,
     index: u64,
     idxs: &[usize],
     stats: &mut CheckStats,
@@ -88,7 +84,7 @@ pub(crate) fn check_isolated(
         Err(payload) => {
             let reason = classify(payload.as_ref());
             state.finish(stats);
-            *state = verifier.begin_enumeration_with(property, options, dd);
+            *state = verifier.begin_enumeration(property, options);
             stats.skipped += 1;
             Err(reason)
         }

@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 use walshcheck_circuit::glitch::ProbeModel;
 use walshcheck_circuit::ilang::write_ilang;
 use walshcheck_circuit::netlist::Netlist;
-use walshcheck_dd::backend::Backend;
 use walshcheck_dd::var::VarId;
 
 use crate::checkpoint::{self, CheckpointConfig, ResumeState};
@@ -56,7 +55,7 @@ use crate::scheduler::{self, SetupTimings};
 pub struct JobSpec {
     /// The property to check.
     pub property: Property,
-    /// Engine options (backend, mode, sites, prefilter, budgets, cache).
+    /// Engine options (engine, mode, sites, prefilter, budgets, cache).
     pub options: VerifyOptions,
     /// Worker threads (results are independent of this; clamped to ≥ 1).
     pub threads: usize,
@@ -117,13 +116,10 @@ impl JobSpec {
                 ("budget_bytes", Json::Int(self.options.cache_budget as i64)),
             ]),
         );
-        // The DD backend is configuration, not identity: report artifacts
-        // are byte-identical across backends (DESIGN.md §14), so results
-        // are shared across submissions that differ only here.
-        obj.insert("backend".into(), Json::str(self.options.backend.as_str()));
-        // Same for the PR-10 speed knobs: the dense spectral kernels are
-        // exact (DESIGN.md §17) and auto-sift screening re-derives every
-        // violation in the original order, so neither can change a result.
+        // The speed knobs are configuration, not identity: the dense
+        // spectral kernels are exact (DESIGN.md §17) and auto-sift
+        // screening re-derives every violation in the original order, so
+        // neither can change a result.
         obj.insert(
             "dense_cut".into(),
             Json::Int(i64::from(self.options.dense_cut)),
@@ -180,7 +176,7 @@ impl JobSpec {
         map.insert("prefilter".into(), Json::Bool(o.prefilter));
         map.insert("largest_first".into(), Json::Bool(o.largest_first));
         // Pre-sifting changes which combinations fit a node budget, so it
-        // is identity-relevant (unlike the verdict-neutral backend knob).
+        // is identity-relevant (unlike the verdict-neutral speed knobs).
         map.insert("presift".into(), Json::Bool(o.presift));
         map.insert(
             "time_limit_ms".into(),
@@ -214,7 +210,9 @@ impl JobSpec {
 
     /// Reconstructs a spec from the JSON form of [`JobSpec::to_json`].
     /// `property` is required; every other field defaults like
-    /// [`JobSpec::new`] when absent, so sparse submissions work.
+    /// [`JobSpec::new`] when absent, so sparse submissions work. Unknown
+    /// keys are ignored, among them the retired `"backend"` key that specs
+    /// stored by walshcheck 0.3.0 daemons carry.
     ///
     /// # Errors
     ///
@@ -285,11 +283,6 @@ impl JobSpec {
             let name = v.as_str().ok_or_else(|| bad("sift must be a string"))?;
             o.sift = crate::engine::SiftMode::parse(name)
                 .ok_or_else(|| bad(&format!("unknown sift mode {name:?}")))?;
-        }
-        if let Some(v) = doc.get("backend") {
-            let name = v.as_str().ok_or_else(|| bad("backend must be a string"))?;
-            o.backend =
-                Backend::parse(name).ok_or_else(|| bad(&format!("unknown backend {name:?}")))?;
         }
         match doc.get("time_limit_ms") {
             None | Some(Json::Null) => {}
@@ -587,22 +580,30 @@ mod tests {
 
     #[test]
     fn identity_ignores_backend_but_not_presift() {
+        // Stores written before the DD backend knob was removed hold
+        // `spec.json` files with a `"backend"` key: they must still parse,
+        // keep their job identity, and lose the key when written again.
         let a = spec();
-        let mut b = spec();
-        b.options.backend = Backend::Shared;
-        assert_eq!(
-            a.identity_hash(),
-            b.identity_hash(),
-            "backend is a speed knob, not a result identity"
+        let current = a.to_json().to_canonical();
+        assert!(
+            a.to_json().get("backend").is_none(),
+            "to_json no longer writes a backend"
         );
-        assert_ne!(
-            a.to_json().to_canonical(),
-            b.to_json().to_canonical(),
-            "the full form still records the backend"
-        );
-        let round = JobSpec::parse(&json::parse(&b.to_json().to_canonical()).expect("valid"))
-            .expect("parses");
-        assert_eq!(round.options.backend, Backend::Shared);
+        for name in ["private", "shared"] {
+            let Json::Obj(mut old) = a.to_json() else {
+                unreachable!("to_json builds an object")
+            };
+            old.insert("backend".into(), Json::str(name));
+            let text = Json::Obj(old).to_canonical();
+            let back = JobSpec::parse(&json::parse(&text).expect("valid"))
+                .unwrap_or_else(|e| panic!("\"backend\":\"{name}\" must still parse: {e}"));
+            assert_eq!(
+                back.identity_hash(),
+                a.identity_hash(),
+                "\"backend\":\"{name}\" must not change the job identity"
+            );
+            assert_eq!(back.to_json().to_canonical(), current);
+        }
         let mut c = spec();
         c.options.presift = true;
         assert_ne!(

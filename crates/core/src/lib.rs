@@ -71,8 +71,6 @@ pub mod tmatrix;
 pub mod uniformity;
 
 pub use checkpoint::CheckpointConfig;
-#[doc(hidden)]
-pub use engine::check_parallel_modulo;
 pub use engine::{EngineKind, SiftMode, Verifier, VerifyOptions, VerifyOptionsBuilder};
 pub use error::Error;
 pub use iofs::{IoFs, RealFs, TracingFs};
@@ -89,4 +87,3 @@ pub use recover::{
 };
 pub use report::{run_report_json, Report, ReportCacheConfig, REPORT_SCHEMA};
 pub use session::{Session, WitnessSearch};
-pub use walshcheck_dd::backend::Backend;

@@ -440,10 +440,9 @@ impl Report {
 /// engine-phase timings `(name, duration)`. `resumed` records whether the
 /// run was seeded from a checkpoint.
 ///
-/// The `"backend"` field records which DD backend executed the run. Like
-/// `"threads"`, it lives only in this run document, never in the [`Report`]
-/// artifact: backends produce byte-identical artifacts (DESIGN.md §14), so
-/// the content address must not depend on it.
+/// `"threads"` lives only in this run document, never in the [`Report`]
+/// artifact: results are thread-count independent, so the content address
+/// must not depend on it.
 pub fn run_report_json(
     netlist: &Netlist,
     verdict: &Verdict,
@@ -462,7 +461,7 @@ pub fn run_report_json(
         concat!(
             "{{\"schema\":\"{}\",\"netlist\":\"{}\",\"netlist_sha256\":\"{}\",",
             "\"report_hash\":\"{}\",",
-            "\"engine\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"backend\":\"{}\",",
+            "\"engine\":\"{}\",\"mode\":\"{}\",\"threads\":{},",
             "\"cache\":{{\"enabled\":{},\"budget_bytes\":{},\"hits\":{},",
             "\"misses\":{},\"evictions\":{},\"peak_bytes\":{},",
             "\"dd\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
@@ -478,7 +477,6 @@ pub fn run_report_json(
         spec.engine().as_str(),
         spec.mode().as_str(),
         spec.threads(),
-        spec.options.backend.as_str(),
         cache.enabled,
         cache.budget_bytes,
         stats.cache_hits,

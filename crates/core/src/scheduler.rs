@@ -1,11 +1,11 @@
 //! Work-stealing batched scheduler for the combination enumeration.
 //!
 //! The paper lists parallelization as future work; the first cut here was
-//! static modulo sharding (kept as `check_parallel_modulo` for baseline
-//! measurements), which splits the space by leading site index. That split
-//! is badly unbalanced: the largest-first heuristic makes combination cost
-//! depend on position, and a worker whose shard holds the expensive leading
-//! indices becomes the critical path while the others idle.
+//! static modulo sharding, which splits the space by leading site index.
+//! That split is badly unbalanced: the largest-first heuristic makes
+//! combination cost depend on position, and a worker whose shard holds the
+//! expensive leading indices becomes the critical path while the others
+//! idle.
 //!
 //! This scheduler instead dispenses the enumeration as contiguous batches
 //! from a shared cursor (self-scheduling / work stealing from a central
@@ -42,7 +42,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use walshcheck_circuit::netlist::Netlist;
-use walshcheck_dd::backend::DdBackend;
 
 use crate::checkpoint::{self, Checkpoint, CheckpointConfig, RangeSet, ResumeState};
 use crate::engine::{ComboStep, EnumState, Verifier, VerifyOptions};
@@ -448,14 +447,8 @@ pub(crate) fn run(
     if options.presift {
         verifier.apply_presift();
     }
-    // One runtime backend per run: on `Backend::Shared` this is the single
-    // concurrent store every worker interns into; on `Backend::Private`
-    // the factory hands each worker its own managers as before.
-    let dd = Verifier::runtime_backend(options);
-    let dd: &dyn DdBackend = dd.as_ref();
-
     let t = Instant::now();
-    let mut state0 = verifier.begin_enumeration_with(property, options, dd);
+    let mut state0 = verifier.begin_enumeration(property, options);
     let extract_time = t.elapsed();
 
     let n = state0.sites.len();
@@ -545,10 +538,10 @@ pub(crate) fn run(
                             // on the same order (and site list) as worker 0.
                             worker.apply_presift();
                         }
-                        let mut state = worker.begin_enumeration_with(property, options, dd);
+                        let mut state = worker.begin_enumeration(property, options);
                         debug_assert_eq!(state.sites.len(), n, "site extraction is deterministic");
                         worker_loop(
-                            wid, &worker, &mut state, queue, property, options, dd, enum_start,
+                            wid, &worker, &mut state, queue, property, options, enum_start,
                             obs_dyn, candidates, skipped, done, ck_ref,
                         )
                     }))
@@ -565,7 +558,6 @@ pub(crate) fn run(
                 &queue,
                 property,
                 options,
-                dd,
                 enum_start,
                 obs_dyn,
                 &candidates,
@@ -821,7 +813,6 @@ fn worker_loop(
     queue: &BatchQueue,
     property: Property,
     options: &VerifyOptions,
-    dd: &dyn DdBackend,
     run_start: Instant,
     observer: Option<&dyn ProgressObserver>,
     candidates: &Mutex<Vec<Candidate>>,
@@ -865,7 +856,7 @@ fn worker_loop(
                 }
             }
             match crate::isolate::check_isolated(
-                verifier, state, property, options, dd, index, idxs, &mut stats,
+                verifier, state, property, options, index, idxs, &mut stats,
             ) {
                 Ok(ComboStep::Clean) => {}
                 Ok(ComboStep::Pruned) => {

@@ -37,7 +37,6 @@ use std::time::Duration;
 
 use walshcheck_circuit::glitch::ProbeModel;
 use walshcheck_circuit::netlist::Netlist;
-use walshcheck_dd::backend::Backend;
 
 use crate::engine::{EngineKind, SiftMode, Verifier, VerifyOptions};
 use crate::error::Error;
@@ -153,19 +152,6 @@ impl Session {
     #[must_use]
     pub fn cache_budget(mut self, bytes: usize) -> Self {
         self.job.spec_mut().options.cache_budget = bytes;
-        self
-    }
-
-    /// Decision-diagram backend: [`Backend::Private`] (each worker owns its
-    /// node arenas — the default, and the only behaviour before 0.3) or
-    /// [`Backend::Shared`] (all workers intern into one concurrent store,
-    /// reusing each other's nodes and apply results). Purely a speed/memory
-    /// knob: verdicts, witnesses and report artifacts are byte-identical
-    /// across backends at any thread count. The process-wide default can be
-    /// set with the `WALSHCHECK_DD_BACKEND` environment variable.
-    #[must_use]
-    pub fn dd_backend(mut self, backend: Backend) -> Self {
-        self.job.spec_mut().options.backend = backend;
         self
     }
 

@@ -7,16 +7,13 @@
 //! equality of functions is handle equality, and binary operations are
 //! memoized.
 //!
-//! The hot structures follow CUDD (see DESIGN.md §12): hash consing goes
-//! through open-addressed unique tables, and memoization through fixed-size
-//! direct-mapped lossy caches. A manager owns those structures outright on
-//! the [`crate::backend::Private`] backend ([`crate::table`]), or borrows a
-//! run-wide concurrent store on [`crate::backend::Shared`]
-//! ([`crate::shared`], DESIGN.md §14) — the manager API is identical either
-//! way, and handles are canonical within a store under both. The [`Dyadic`]
-//! arithmetic used by the probing-security engines is additionally
-//! monomorphized with algebraic short-circuits (`0 + f = f`, `0 · f = 0`,
-//! `1 · f = f`, `f − f = 0`) checked before any cache probe.
+//! The hot structures follow CUDD (see DESIGN.md §12): each manager owns its
+//! node arena, hash consing goes through open-addressed unique tables, and
+//! memoization through fixed-size direct-mapped lossy caches (the
+//! crate-private `table` module). The [`Dyadic`] arithmetic used by the
+//! probing-security engines is additionally monomorphized with algebraic
+//! short-circuits (`0 + f = f`, `0 · f = 0`, `1 · f = f`, `f − f = 0`)
+//! checked before any cache probe.
 //!
 //! ```
 //! use walshcheck_dd::add::AddManager;
@@ -31,16 +28,13 @@
 //! assert_eq!(*m.eval(s, 0b00), Dyadic::ZERO);
 //! ```
 
-use std::cell::Cell;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use crate::bdd::{Bdd, BddManager};
 use crate::budget::NodeBudget;
 use crate::dyadic::Dyadic;
 use crate::fasthash::{hash_pair, FastMap, FastSet};
-use crate::shared::{MkMemo, SharedAddStore};
 use crate::table::{BinaryApplyCache, Subtable, UnaryApplyCache};
 use crate::var::{VarId, VarSet};
 
@@ -85,8 +79,7 @@ pub struct ApplyCacheStats {
     /// Cache generations retired via [`AddManager::clear_caches`] or a
     /// resizing [`AddManager::set_apply_cache_limit`]. The direct-mapped
     /// caches never flush wholesale on their own — a colliding insert
-    /// overwrites one slot instead. On the shared backend this counts the
-    /// manager's private L1 flushes; the run-wide caches are never flushed.
+    /// overwrites one slot instead.
     pub flushes: u64,
 }
 
@@ -97,58 +90,8 @@ const DEFAULT_APPLY_CACHE_LIMIT: usize = 1 << 16;
 
 /// Small-terminal intern table size. The first few distinct terminals a
 /// manager sees are the workload's ubiquitous constants (0, ±1, ±½, …);
-/// serving them from a linear scan skips the hash (and, on the shared
-/// backend, the lock) path of the terminal table.
+/// serving them from a linear scan skips the hash path of `term_unique`.
 const SMALL_TERMS: usize = 8;
-
-/// The node/terminal store a manager works against: owned outright
-/// ([`crate::backend::Private`]) or a handle on the run-wide concurrent
-/// store ([`crate::backend::Shared`]) plus this manager's private `mk`
-/// memo, which keeps repeat interning off the shared unique table.
-#[derive(Debug)]
-enum AddStore<T> {
-    Private(PrivateAddStore<T>),
-    Shared {
-        store: Arc<SharedAddStore<T>>,
-        memo: MkMemo,
-        /// Private L1 apply caches in front of the run-wide (L2) caches.
-        /// Every result this manager computes is recorded in both, so the
-        /// manager's own repeat lookups hit at private-backend cost — the
-        /// L1 sees the exact put sequence a private manager's cache would —
-        /// while L1 misses fall through to the shared L2, which is what
-        /// carries cross-manager reuse.
-        binary_l1: BinaryApplyCache,
-        unary_l1: UnaryApplyCache,
-        /// Private memo of the run-wide terminal table: terminal ids are
-        /// canonical per store and never move, so a hit skips the terminal
-        /// mutex entirely.
-        term_memo: FastMap<T, Add>,
-        /// Read-through copy of the shared arena's nodes, indexed by id.
-        /// Arena slots are written exactly once, so a mirrored `(var, lo,
-        /// hi)` can never go stale — reads the manager repeats become plain
-        /// vector loads instead of segment-located atomics. Slots holding
-        /// `lo ==` [`MIRROR_VACANT`] fall back to the arena and fill in.
-        mirror: Vec<Cell<(u32, u32, u32)>>,
-    },
-}
-
-/// `lo` sentinel of an unfilled mirror slot: real `lo` edges are node ids
-/// or `TERM_BIT`-tagged terminal indices, never `u32::MAX` (which would
-/// need 2³¹ distinct terminals).
-const MIRROR_VACANT: u32 = u32::MAX;
-
-/// The single-owner store: the PR 5 kernel structures, unchanged.
-#[derive(Debug)]
-struct PrivateAddStore<T> {
-    nodes: Vec<Node>,
-    /// One unique subtable per variable; the variable index selects the
-    /// subtable, the `(lo, hi)` pair is the key (see [`crate::table`]).
-    unique: Vec<Subtable>,
-    terminals: Vec<T>,
-    term_unique: FastMap<T, Add>,
-    binary_cache: BinaryApplyCache,
-    unary_cache: UnaryApplyCache,
-}
 
 /// An arena-based hash-consed ADD manager over terminal values of type `T`.
 ///
@@ -156,26 +99,27 @@ struct PrivateAddStore<T> {
 /// (`Eq`/`Hash` must agree with semantic equality).
 #[derive(Debug)]
 pub struct AddManager<T> {
-    store: AddStore<T>,
+    nodes: Vec<Node>,
+    /// One unique subtable per variable; the variable index selects the
+    /// subtable, the `(lo, hi)` pair is the key (see [`crate::table`]).
+    unique: Vec<Subtable>,
+    terminals: Vec<T>,
+    term_unique: FastMap<T, Add>,
     /// The first [`SMALL_TERMS`] interned terminals, scanned linearly
-    /// before the terminal table.
+    /// before `term_unique`.
     term_small: Vec<(T, Add)>,
+    binary_cache: BinaryApplyCache,
+    unary_cache: UnaryApplyCache,
     apply_stats: ApplyCacheStats,
     /// `apply_stats.misses` at the last flush, to count a flush only when
     /// the caches could hold something.
     misses_at_flush: u64,
     budget: NodeBudget,
-    /// Internal nodes *this manager* interned first (on the private backend,
-    /// exactly the arena size). The node budget charges against this
-    /// counter, so on the shared backend each worker accounts its own
-    /// creations instead of the racy store-wide total.
-    created: usize,
     num_vars: u32,
 }
 
 impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
-    /// Creates a manager with `num_vars` variables (levels `0..num_vars`)
-    /// owning a private store.
+    /// Creates a manager with `num_vars` variables (levels `0..num_vars`).
     ///
     /// # Panics
     ///
@@ -183,66 +127,34 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
     pub fn new(num_vars: u32) -> Self {
         assert!(num_vars <= VarId::MAX_VARS, "too many variables");
         AddManager {
-            store: AddStore::Private(PrivateAddStore {
-                nodes: Vec::new(),
-                unique: (0..num_vars).map(|_| Subtable::default()).collect(),
-                terminals: Vec::new(),
-                term_unique: FastMap::default(),
-                binary_cache: BinaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT),
-                unary_cache: UnaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT >> 4),
-            }),
+            nodes: Vec::new(),
+            unique: (0..num_vars).map(|_| Subtable::default()).collect(),
+            terminals: Vec::new(),
+            term_unique: FastMap::default(),
             term_small: Vec::new(),
+            binary_cache: BinaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT),
+            unary_cache: UnaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT >> 4),
             apply_stats: ApplyCacheStats::default(),
             misses_at_flush: 0,
             budget: NodeBudget::default(),
-            created: 0,
             num_vars,
         }
-    }
-
-    /// Creates a manager working against the given run-wide store; reached
-    /// via [`crate::backend::Shared`].
-    pub(crate) fn with_shared(num_vars: u32, store: Arc<SharedAddStore<T>>) -> Self {
-        assert!(num_vars <= VarId::MAX_VARS, "too many variables");
-        store.attach();
-        AddManager {
-            store: AddStore::Shared {
-                store,
-                memo: MkMemo::new(),
-                binary_l1: BinaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT),
-                unary_l1: UnaryApplyCache::new(DEFAULT_APPLY_CACHE_LIMIT >> 4),
-                term_memo: FastMap::default(),
-                mirror: Vec::new(),
-            },
-            term_small: Vec::new(),
-            apply_stats: ApplyCacheStats::default(),
-            misses_at_flush: 0,
-            budget: NodeBudget::default(),
-            created: 0,
-            num_vars,
-        }
-    }
-
-    /// Whether this manager works against a run-wide shared store.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.store, AddStore::Shared { .. })
     }
 
     /// Installs (or clears, with `None`) a node-growth budget and rebases
-    /// its baseline to the nodes this manager has created so far. Once set,
-    /// interning more than `limit` new internal nodes past the most recent
+    /// its baseline to the current arena size. Once set, interning more
+    /// than `limit` new internal nodes past the most recent
     /// [`AddManager::rebase_node_budget`] raises a
     /// [`crate::budget::CapacityExceeded`] panic payload for the caller to
-    /// `catch_unwind`. Prefer installing budgets via
-    /// [`crate::backend::DdConfig`] at manager creation.
+    /// `catch_unwind`.
     pub fn set_node_budget(&mut self, limit: Option<usize>) {
-        self.budget.set(limit, self.created);
+        self.budget.set(limit, self.nodes.len());
     }
 
-    /// Moves the budget baseline forward, making existing structure free.
-    /// Call at each unit-of-work (tuple) boundary.
+    /// Moves the budget baseline to the current arena size, making existing
+    /// structure free. Call at each unit-of-work (tuple) boundary.
     pub fn rebase_node_budget(&mut self) {
-        self.budget.rebase(self.created);
+        self.budget.rebase(self.nodes.len());
     }
 
     /// Sizes the apply caches to about `limit` slots (rounded down to a
@@ -251,56 +163,26 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
     /// entries overwrite each other, so this bounds memory exactly.
     /// Memoization only affects time, never results, so any limit is safe.
     /// Resizing to a different slot count drops all cached entries.
-    ///
-    /// On the shared backend this sizes the manager's private L1 caches;
-    /// the run-wide L2 caches are sized once, at
-    /// [`crate::backend::Shared::new`] time.
     pub fn set_apply_cache_limit(&mut self, limit: usize) {
-        match &mut self.store {
-            AddStore::Private(p) => {
-                p.binary_cache.resize(limit);
-                p.unary_cache.resize((limit >> 4).max(16));
-            }
-            AddStore::Shared {
-                binary_l1,
-                unary_l1,
-                ..
-            } => {
-                binary_l1.resize(limit);
-                unary_l1.resize((limit >> 4).max(16));
-            }
-        }
+        self.binary_cache.resize(limit);
+        self.unary_cache.resize((limit >> 4).max(16));
     }
 
     /// The apply-cache counters accumulated so far (they survive flushes).
-    /// On the shared backend they count *this manager's* probes — hits
-    /// include entries other workers computed.
     pub fn apply_cache_stats(&self) -> ApplyCacheStats {
         self.apply_stats
     }
 
     /// Heap footprint of both apply-cache slabs, in bytes. Fixed by
-    /// [`AddManager::set_apply_cache_limit`] (or, shared, at backend
-    /// creation) — it does not vary with occupancy, because the slabs are
-    /// allocated in full up front.
+    /// [`AddManager::set_apply_cache_limit`] — it does not vary with
+    /// occupancy, because the slabs are allocated in full up front.
     pub fn apply_cache_bytes(&self) -> usize {
-        match &self.store {
-            AddStore::Private(p) => p.binary_cache.bytes() + p.unary_cache.bytes(),
-            AddStore::Shared {
-                store,
-                binary_l1,
-                unary_l1,
-                ..
-            } => binary_l1.bytes() + unary_l1.bytes() + store.binary.bytes() + store.unary.bytes(),
-        }
+        self.binary_cache.bytes() + self.unary_cache.bytes()
     }
 
     /// Heap footprint of the unique table's slot arrays, in bytes.
     pub fn unique_table_bytes(&self) -> usize {
-        match &self.store {
-            AddStore::Private(p) => p.unique.iter().map(Subtable::heap_bytes).sum(),
-            AddStore::Shared { store, .. } => store.nodes.heap_bytes(),
-        }
+        self.unique.iter().map(Subtable::heap_bytes).sum()
     }
 
     /// Number of variables managed.
@@ -311,112 +193,22 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
     /// The internal node behind `f` (which must not be terminal).
     #[inline]
     fn inode(&self, f: Add) -> Node {
-        match &self.store {
-            AddStore::Private(p) => p.nodes[f.0 as usize],
-            AddStore::Shared { store, mirror, .. } => {
-                if let Some(slot) = mirror.get(f.0 as usize) {
-                    let (var, lo, hi) = slot.get();
-                    if lo != MIRROR_VACANT {
-                        return Node {
-                            var,
-                            lo: Add(lo),
-                            hi: Add(hi),
-                        };
-                    }
-                }
-                let n = store.nodes.node(f.0);
-                if let Some(slot) = mirror.get(f.0 as usize) {
-                    slot.set((n.var, n.lo, n.hi));
-                }
-                Node {
-                    var: n.var,
-                    lo: Add(n.lo),
-                    hi: Add(n.hi),
-                }
-            }
-        }
-    }
-
-    /// The terminal value at table index `idx`.
-    #[inline]
-    fn term_ref(&self, idx: usize) -> &T {
-        match &self.store {
-            AddStore::Private(p) => &p.terminals[idx],
-            AddStore::Shared { store, .. } => store.terms.get(idx as u32),
-        }
-    }
-
-    #[inline]
-    fn bin_get(&self, op: u32, f: u32, g: u32) -> Option<u32> {
-        match &self.store {
-            AddStore::Private(p) => p.binary_cache.get(op, f, g),
-            AddStore::Shared {
-                store, binary_l1, ..
-            } => binary_l1.get(op, f, g).or_else(|| {
-                store
-                    .publish()
-                    .then(|| store.binary.get(op, f, g))
-                    .flatten()
-            }),
-        }
-    }
-
-    #[inline]
-    fn bin_put(&mut self, op: u32, f: u32, g: u32, r: u32) {
-        match &mut self.store {
-            AddStore::Private(p) => p.binary_cache.put(op, f, g, r),
-            AddStore::Shared {
-                store, binary_l1, ..
-            } => {
-                binary_l1.put(op, f, g, r);
-                if store.publish() {
-                    store.binary.put(op, f, g, r);
-                }
-            }
-        }
+        self.nodes[f.0 as usize]
     }
 
     /// Probes the apply-cache-backed L2 memo for the normalized partial
     /// WHT of `f` from `level` down (see `spectral::wht_with`). The entry
-    /// lives in the ordinary binary apply cache — shared run-wide on the
-    /// shared backend, so a transform one worker computed is visible to
-    /// all — under op tags above the `u8` token space, which keeps it
-    /// disjoint from every [`AddManager::apply2`] operator.
+    /// lives in the ordinary binary apply cache under op tags above the
+    /// `u8` token space, which keeps it disjoint from every
+    /// [`AddManager::apply2`] operator.
     pub fn wht_l2_get(&self, level: u32, f: Add) -> Option<Add> {
-        self.bin_get(WHT_OP_BASE + level, f.0, 0).map(Add)
+        self.binary_cache.get(WHT_OP_BASE + level, f.0, 0).map(Add)
     }
 
     /// Records a normalized partial-WHT result in the L2 memo; see
     /// [`AddManager::wht_l2_get`].
     pub fn wht_l2_put(&mut self, level: u32, f: Add, r: Add) {
-        self.bin_put(WHT_OP_BASE + level, f.0, 0, r.0);
-    }
-
-    #[inline]
-    fn un_get(&self, op: u32, f: u32) -> Option<u32> {
-        match &self.store {
-            AddStore::Private(p) => p.unary_cache.get(op, f),
-            AddStore::Shared {
-                store, unary_l1, ..
-            } => unary_l1
-                .get(op, f)
-                .or_else(|| store.publish().then(|| store.unary.get(op, f)).flatten()),
-        }
-    }
-
-    #[inline]
-    fn un_put(&mut self, op: u32, f: u32, r: u32) {
-        match &mut self.store {
-            AddStore::Private(p) => p.unary_cache.put(op, f, r),
-            AddStore::Shared {
-                store, unary_l1, ..
-            } => {
-                unary_l1.put(op, f, r);
-                if store.publish() {
-                    store.unary.put(op, f, r);
-                }
-            }
-        }
+        self.binary_cache.put(WHT_OP_BASE + level, f.0, 0, r.0);
     }
 
     /// Interns and returns the constant function `value`.
@@ -426,42 +218,23 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
                 return *id;
             }
         }
-        let id = match &mut self.store {
-            AddStore::Private(p) => {
-                if let Some(&id) = p.term_unique.get(&value) {
-                    id
-                } else {
-                    let idx = u32::try_from(p.terminals.len()).expect("terminal table full");
-                    assert!(idx & TERM_BIT == 0, "terminal table full");
-                    let id = Add(TERM_BIT | idx);
-                    p.terminals.push(value.clone());
-                    p.term_unique.insert(value.clone(), id);
-                    id
-                }
-            }
-            AddStore::Shared {
-                store, term_memo, ..
-            } => {
-                if let Some(&id) = term_memo.get(&value) {
-                    id
-                } else {
-                    let idx = store.terms.intern(&value);
-                    assert!(idx & TERM_BIT == 0, "terminal table full");
-                    let id = Add(TERM_BIT | idx);
-                    term_memo.insert(value.clone(), id);
-                    id
-                }
-            }
-        };
-        if self.term_small.len() < SMALL_TERMS {
-            self.term_small.push((value, id));
+        if let Some(&id) = self.term_unique.get(&value) {
+            return id;
         }
+        let idx = u32::try_from(self.terminals.len()).expect("terminal table full");
+        assert!(idx & TERM_BIT == 0, "terminal table full");
+        let id = Add(TERM_BIT | idx);
+        self.terminals.push(value.clone());
+        if self.term_small.len() < SMALL_TERMS {
+            self.term_small.push((value.clone(), id));
+        }
+        self.term_unique.insert(value, id);
         id
     }
 
     /// The terminal value of a constant node, or `None` for internal nodes.
     pub fn terminal_value(&self, f: Add) -> Option<&T> {
-        f.is_terminal().then(|| self.term_ref(f.term_index()))
+        f.is_terminal().then(|| &self.terminals[f.term_index()])
     }
 
     /// Decomposes an internal node into `(var, lo, hi)`, or `None` for
@@ -492,63 +265,25 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
             var.0 < self.var_of(lo) && var.0 < self.var_of(hi),
             "ordering violated"
         );
-        match &mut self.store {
-            AddStore::Private(p) => {
-                let h = hash_pair(lo.0, hi.0);
-                let nodes = &p.nodes;
-                let sub = &mut p.unique[var.0 as usize];
-                if let Some(found) = sub.get(h, |i| {
-                    let n = &nodes[i as usize];
-                    n.lo == lo && n.hi == hi
-                }) {
-                    return Add(found);
-                }
-                self.budget.charge("add-arena", self.created);
-                let raw = u32::try_from(p.nodes.len()).expect("ADD arena full");
-                assert!(raw & TERM_BIT == 0, "ADD arena full");
-                p.nodes.push(Node { var: var.0, lo, hi });
-                let nodes = &p.nodes;
-                p.unique[var.0 as usize].insert(h, raw, |i| {
-                    let n = &nodes[i as usize];
-                    hash_pair(n.lo.0, n.hi.0)
-                });
-                self.created += 1;
-                Add(raw)
-            }
-            AddStore::Shared {
-                store,
-                memo,
-                mirror,
-                ..
-            } => {
-                if let Some(id) = memo.get(var.0, lo.0, hi.0) {
-                    return Add(id);
-                }
-                // The budget verdict is precomputed so a CapacityExceeded
-                // unwind can never poison the shared table — `intern` does
-                // probe and insert under one stripe acquisition and returns
-                // `None` instead of inserting when over budget.
-                let over = self.budget.would_trip(self.created);
-                let Some((id, fresh)) = store.nodes.intern(var.0, lo.0, hi.0, over) else {
-                    self.budget.charge("add-arena", self.created);
-                    unreachable!("would_trip and charge disagree");
-                };
-                assert!(id & TERM_BIT == 0, "ADD arena full");
-                if fresh {
-                    self.created += 1;
-                }
-                // `mk` is the one `&mut self` choke point every new id
-                // passes through, so the mirror is grown here; `inode`
-                // (which only has `&self`) fills out-of-range ids lazily.
-                let idx = id as usize;
-                if mirror.len() <= idx {
-                    mirror.resize(idx + 1, Cell::new((0, MIRROR_VACANT, 0)));
-                }
-                mirror[idx].set((var.0, lo.0, hi.0));
-                memo.put(var.0, lo.0, hi.0, id);
-                Add(id)
-            }
+        let h = hash_pair(lo.0, hi.0);
+        let nodes = &self.nodes;
+        let sub = &mut self.unique[var.0 as usize];
+        if let Some(found) = sub.get(h, |i| {
+            let n = &nodes[i as usize];
+            n.lo == lo && n.hi == hi
+        }) {
+            return Add(found);
         }
+        self.budget.charge("add-arena", self.nodes.len());
+        let raw = u32::try_from(self.nodes.len()).expect("ADD arena full");
+        assert!(raw & TERM_BIT == 0, "ADD arena full");
+        self.nodes.push(Node { var: var.0, lo, hi });
+        let nodes = &self.nodes;
+        self.unique[var.0 as usize].insert(h, raw, |i| {
+            let n = &nodes[i as usize];
+            hash_pair(n.lo.0, n.hi.0)
+        });
+        Add(raw)
     }
 
     /// The function that is `hi_value` when `v` is 1 and `lo_value` otherwise.
@@ -570,7 +305,7 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
                 n.lo
             };
         }
-        self.term_ref(cur.term_index())
+        &self.terminals[cur.term_index()]
     }
 
     /// Top variable and cofactor pairs of `(f, g)` for the apply recursion.
@@ -603,7 +338,7 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
             let v = op(a, b);
             return self.constant(v);
         }
-        if let Some(r) = self.bin_get(token as u32, f.0, g.0) {
+        if let Some(r) = self.binary_cache.get(token as u32, f.0, g.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -612,7 +347,7 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
         let r1 = self.apply2(token, f1, g1, op);
         let r = self.mk(VarId(top), r0, r1);
         self.apply_stats.misses += 1;
-        self.bin_put(token as u32, f.0, g.0, r.0);
+        self.binary_cache.put(token as u32, f.0, g.0, r.0);
         r
     }
 
@@ -623,7 +358,7 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
             let v = op(a);
             return self.constant(v);
         }
-        if let Some(r) = self.un_get(token as u32, f.0) {
+        if let Some(r) = self.unary_cache.get(token as u32, f.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -632,7 +367,7 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
         let r1 = self.apply1(token, n.hi, op);
         let r = self.mk(VarId(n.var), r0, r1);
         self.apply_stats.misses += 1;
-        self.un_put(token as u32, f.0, r.0);
+        self.unary_cache.put(token as u32, f.0, r.0);
         r
     }
 
@@ -819,40 +554,18 @@ impl<T: Clone + Eq + Hash + Debug> AddManager<T> {
     }
 
     /// Clears the operation caches; handles remain valid.
-    ///
-    /// On the shared backend only the manager's private L1 caches are
-    /// cleared — the run-wide L2 caches stay, since other managers may be
-    /// mid-operation on them and keeping entries is always safe (cached
-    /// results are canonical handles).
     pub fn clear_caches(&mut self) {
         if self.apply_stats.misses > self.misses_at_flush {
             self.apply_stats.flushes += 1;
             self.misses_at_flush = self.apply_stats.misses;
         }
-        match &mut self.store {
-            AddStore::Private(p) => {
-                p.binary_cache.clear();
-                p.unary_cache.clear();
-            }
-            AddStore::Shared {
-                binary_l1,
-                unary_l1,
-                ..
-            } => {
-                binary_l1.clear();
-                unary_l1.clear();
-            }
-        }
+        self.binary_cache.clear();
+        self.unary_cache.clear();
     }
 
-    /// Total number of live internal nodes in the arena. On the shared
-    /// backend this is the *store-wide* count, racy while other workers
-    /// intern.
+    /// Total number of live internal nodes in the arena.
     pub fn arena_size(&self) -> usize {
-        match &self.store {
-            AddStore::Private(p) => p.nodes.len(),
-            AddStore::Shared { store, .. } => store.nodes.len(),
-        }
+        self.nodes.len()
     }
 }
 
@@ -874,13 +587,13 @@ impl AddManager<Dyadic> {
     /// Whether `f` is the terminal 0 (cheap handle-level check).
     #[inline]
     fn is_zero_term(&self, f: Add) -> bool {
-        f.is_terminal() && self.term_ref(f.term_index()).is_zero()
+        f.is_terminal() && self.terminals[f.term_index()].is_zero()
     }
 
     /// Whether `f` is the terminal 1.
     #[inline]
     fn is_one_term(&self, f: Add) -> bool {
-        f.is_terminal() && *self.term_ref(f.term_index()) == Dyadic::ONE
+        f.is_terminal() && self.terminals[f.term_index()] == Dyadic::ONE
     }
 
     /// Pointwise sum `f + g`.
@@ -899,7 +612,7 @@ impl AddManager<Dyadic> {
             let v = *x + *y;
             return self.constant(v);
         }
-        if let Some(r) = self.bin_get(token::ADD, a.0, b.0) {
+        if let Some(r) = self.binary_cache.get(token::ADD, a.0, b.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -908,7 +621,7 @@ impl AddManager<Dyadic> {
         let r1 = self.add_op(f1, g1);
         let r = self.mk(VarId(top), r0, r1);
         self.apply_stats.misses += 1;
-        self.bin_put(token::ADD, a.0, b.0, r.0);
+        self.binary_cache.put(token::ADD, a.0, b.0, r.0);
         r
     }
 
@@ -928,7 +641,7 @@ impl AddManager<Dyadic> {
             let v = *x - *y;
             return self.constant(v);
         }
-        if let Some(r) = self.bin_get(token::SUB, f.0, g.0) {
+        if let Some(r) = self.binary_cache.get(token::SUB, f.0, g.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -937,7 +650,7 @@ impl AddManager<Dyadic> {
         let r1 = self.sub_op(f1, g1);
         let r = self.mk(VarId(top), r0, r1);
         self.apply_stats.misses += 1;
-        self.bin_put(token::SUB, f.0, g.0, r.0);
+        self.binary_cache.put(token::SUB, f.0, g.0, r.0);
         r
     }
 
@@ -962,7 +675,7 @@ impl AddManager<Dyadic> {
             let v = *x * *y;
             return self.constant(v);
         }
-        if let Some(r) = self.bin_get(token::MUL, a.0, b.0) {
+        if let Some(r) = self.binary_cache.get(token::MUL, a.0, b.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -971,7 +684,7 @@ impl AddManager<Dyadic> {
         let r1 = self.mul_op(f1, g1);
         let r = self.mk(VarId(top), r0, r1);
         self.apply_stats.misses += 1;
-        self.bin_put(token::MUL, a.0, b.0, r.0);
+        self.binary_cache.put(token::MUL, a.0, b.0, r.0);
         r
     }
 
@@ -984,7 +697,7 @@ impl AddManager<Dyadic> {
             let v = -*x;
             return self.constant(v);
         }
-        if let Some(r) = self.un_get(token::NEG, f.0) {
+        if let Some(r) = self.unary_cache.get(token::NEG, f.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -993,7 +706,7 @@ impl AddManager<Dyadic> {
         let r1 = self.neg_op(n.hi);
         let r = self.mk(VarId(n.var), r0, r1);
         self.apply_stats.misses += 1;
-        self.un_put(token::NEG, f.0, r.0);
+        self.unary_cache.put(token::NEG, f.0, r.0);
         r
     }
 
@@ -1006,7 +719,7 @@ impl AddManager<Dyadic> {
             let v = x.half();
             return self.constant(v);
         }
-        if let Some(r) = self.un_get(token::HALF, f.0) {
+        if let Some(r) = self.unary_cache.get(token::HALF, f.0) {
             self.apply_stats.hits += 1;
             return Add(r);
         }
@@ -1015,7 +728,7 @@ impl AddManager<Dyadic> {
         let r1 = self.half_op(n.hi);
         let r = self.mk(VarId(n.var), r0, r1);
         self.apply_stats.misses += 1;
-        self.un_put(token::HALF, f.0, r.0);
+        self.unary_cache.put(token::HALF, f.0, r.0);
         r
     }
 
@@ -1242,39 +955,5 @@ mod tests {
         let s = m.add_op(x, nx);
         assert!(m.is_zero(s));
         assert!(!m.is_zero(x));
-    }
-
-    #[test]
-    fn shared_store_managers_agree_with_private_results() {
-        use crate::backend::{DdBackend, DdConfig, Shared};
-        let backend = Shared::new(None);
-        let cfg = DdConfig::default();
-        let mut sh = backend.add_manager(6, &cfg);
-        assert!(sh.is_shared());
-        let mut pv: AddManager<Dyadic> = AddManager::new(6);
-        assert!(!pv.is_shared());
-        let build = |m: &mut AddManager<Dyadic>| {
-            let mut acc = m.zero();
-            for v in 0..6u32 {
-                let i = m.indicator(VarId(v), Dyadic::from_int(v as i64 + 1), Dyadic::ONE);
-                acc = m.add_op(acc, i);
-                acc = m.mul_op(acc, i);
-                let h = m.half_op(acc);
-                acc = m.sub_op(acc, h);
-            }
-            acc
-        };
-        let a = build(&mut sh);
-        let b = build(&mut pv);
-        for x in 0..64u128 {
-            assert_eq!(sh.eval(a, x), pv.eval(b, x), "at {x:b}");
-        }
-        // A second shared manager re-finds the same handles without
-        // creating nodes: everything dedupes against the store.
-        let nodes = sh.arena_size();
-        let mut sh2 = backend.add_manager(6, &cfg);
-        let c = build(&mut sh2);
-        assert_eq!(a, c, "shared handles must be canonical across managers");
-        assert_eq!(sh2.arena_size(), nodes, "no duplicate nodes interned");
     }
 }

@@ -4,11 +4,8 @@
 //! CUDD: nodes are interned in open-addressed unique tables so that structural
 //! equality is pointer (index) equality, and all operations are memoized in
 //! fixed-size direct-mapped apply caches ([`crate::table`], DESIGN.md §12),
-//! giving the classical `O(|f|·|g|)` bound for binary Boolean operations. A
-//! manager owns those structures outright on the [`crate::backend::Private`]
-//! backend, or borrows a run-wide concurrent store on
-//! [`crate::backend::Shared`] ([`crate::shared`], DESIGN.md §14); the API and
-//! all results are identical either way.
+//! giving the classical `O(|f|·|g|)` bound for binary Boolean operations.
+//! Each manager owns its arena, unique tables and caches outright.
 //!
 //! Handles carry a **complement edge** (DESIGN.md §17): the top bit of a
 //! [`Bdd`] marks logical negation of the node it points at, so `not` is a
@@ -39,20 +36,15 @@
 //! assert_eq!(m.sat_count(f), 2); // x∧y over 3 variables: 2 assignments
 //! ```
 
-use std::cell::Cell;
-use std::sync::Arc;
-
 use crate::budget::NodeBudget;
 use crate::fasthash::{hash_pair, FastMap, FastSet};
-use crate::shared::{MkMemo, SharedBddStore};
 use crate::table::{BinaryApplyCache, Subtable, TernaryApplyCache};
 use crate::var::{VarId, VarSet};
 
 /// Handle to a BDD node inside a [`BddManager`].
 ///
-/// Handles are plain indices; they are only meaningful for the manager (or,
-/// on the shared backend, the store) that produced them. Structural equality
-/// of functions is handle equality.
+/// Handles are plain indices; they are only meaningful for the manager that
+/// produced them. Structural equality of functions is handle equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bdd(pub(crate) u32);
 
@@ -105,7 +97,7 @@ enum BoolOp {
 }
 
 impl BoolOp {
-    /// Tag in the shared binary apply cache.
+    /// Tag in the binary apply cache.
     #[inline]
     fn tag(self) -> u32 {
         match self {
@@ -121,72 +113,26 @@ impl BoolOp {
 const BINARY_CACHE_SLOTS: usize = 1 << 16;
 const TERNARY_CACHE_SLOTS: usize = 1 << 15;
 
-/// The node store a manager works against: owned outright
-/// ([`crate::backend::Private`]) or a handle on the run-wide concurrent
-/// store ([`crate::backend::Shared`]) plus a private `mk` memo that
-/// keeps repeat interning off the shared unique table.
+/// An arena-based ROBDD manager with unique table and operation caches.
 #[derive(Debug)]
-enum BddStore {
-    Private(PrivateBddStore),
-    Shared {
-        store: Arc<SharedBddStore>,
-        memo: MkMemo,
-        /// Private L1 apply caches in front of the run-wide (L2) caches.
-        /// Every result this manager computes is recorded in both, so the
-        /// manager's own repeat lookups hit at private-backend cost — the
-        /// L1 sees the exact put sequence a private manager's cache would —
-        /// while L1 misses fall through to the shared L2, which is what
-        /// carries cross-manager reuse.
-        apply_l1: BinaryApplyCache,
-        ite_l1: TernaryApplyCache,
-        /// Read-through copy of the shared arena's nodes, indexed by id.
-        /// Arena slots are written exactly once, so a mirrored `(var, lo,
-        /// hi)` can never go stale — reads the manager repeats (the bulk of
-        /// `apply` traffic) become plain vector loads instead of
-        /// segment-located atomics. Slots holding `lo ==`
-        /// [`MIRROR_VACANT`] fall back to the arena and fill in.
-        mirror: Vec<Cell<(u32, u32, u32)>>,
-    },
-}
-
-/// `lo` sentinel of an unfilled mirror slot. A stored `lo` edge is a node
-/// id with an optional complement bit; `mk` refuses ids at or above
-/// `COMPL − 1`, so `u32::MAX` (= the complement of id `COMPL − 1`) can
-/// never be a real edge.
-const MIRROR_VACANT: u32 = u32::MAX;
-
-/// The single-owner store: the PR 5 kernel structures, unchanged.
-#[derive(Debug)]
-struct PrivateBddStore {
+pub struct BddManager {
     nodes: Vec<Node>,
     /// One unique subtable per variable (see [`crate::table`]); extended by
     /// [`BddManager::add_var`].
     unique: Vec<Subtable>,
     apply_cache: BinaryApplyCache,
     ite_cache: TernaryApplyCache,
-}
-
-/// An arena-based ROBDD manager with unique table and operation caches.
-#[derive(Debug)]
-pub struct BddManager {
-    store: BddStore,
     quant_cache: FastMap<(Bdd, u128, bool), Bdd>,
     /// Handles registered via [`BddManager::add_ref`], which structure
     /// rewrites (sifting) must preserve even when they are not listed as
     /// roots of the rewrite.
     external: Vec<Bdd>,
     budget: NodeBudget,
-    /// Internal nodes *this manager* interned first (on the private backend,
-    /// exactly the arena growth past the two terminals). The node budget
-    /// charges against this counter, so on the shared backend each worker
-    /// accounts its own creations instead of the racy store-wide total.
-    created: usize,
     num_vars: u32,
 }
 
 impl BddManager {
-    /// Creates a manager with `num_vars` variables (levels `0..num_vars`)
-    /// owning a private store.
+    /// Creates a manager with `num_vars` variables (levels `0..num_vars`).
     ///
     /// # Panics
     ///
@@ -209,61 +155,31 @@ impl BddManager {
             },
         ];
         BddManager {
-            store: BddStore::Private(PrivateBddStore {
-                nodes,
-                unique: (0..num_vars).map(|_| Subtable::default()).collect(),
-                apply_cache: BinaryApplyCache::new(BINARY_CACHE_SLOTS),
-                ite_cache: TernaryApplyCache::new(TERNARY_CACHE_SLOTS),
-            }),
+            nodes,
+            unique: (0..num_vars).map(|_| Subtable::default()).collect(),
+            apply_cache: BinaryApplyCache::new(BINARY_CACHE_SLOTS),
+            ite_cache: TernaryApplyCache::new(TERNARY_CACHE_SLOTS),
             quant_cache: FastMap::default(),
             external: Vec::new(),
             budget: NodeBudget::default(),
-            created: 0,
             num_vars,
         }
-    }
-
-    /// Creates a manager working against the given run-wide store (whose
-    /// terminal seeds are ids 0/1); reached via [`crate::backend::Shared`].
-    pub(crate) fn with_shared(num_vars: u32, store: Arc<SharedBddStore>) -> Self {
-        assert!(num_vars <= VarId::MAX_VARS, "too many variables");
-        store.attach();
-        BddManager {
-            store: BddStore::Shared {
-                store,
-                memo: MkMemo::new(),
-                apply_l1: BinaryApplyCache::new(BINARY_CACHE_SLOTS),
-                ite_l1: TernaryApplyCache::new(TERNARY_CACHE_SLOTS),
-                mirror: Vec::new(),
-            },
-            quant_cache: FastMap::default(),
-            external: Vec::new(),
-            budget: NodeBudget::default(),
-            created: 0,
-            num_vars,
-        }
-    }
-
-    /// Whether this manager works against a run-wide shared store.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.store, BddStore::Shared { .. })
     }
 
     /// Installs (or clears, with `None`) a node-growth budget and rebases
-    /// its baseline to the nodes this manager has created so far. Once set,
-    /// interning more than `limit` new internal nodes past the most recent
+    /// its baseline to the current arena size. Once set, interning more
+    /// than `limit` new internal nodes past the most recent
     /// [`BddManager::rebase_node_budget`] raises a
     /// [`crate::budget::CapacityExceeded`] panic payload for the caller to
-    /// `catch_unwind`. Prefer installing budgets via
-    /// [`crate::backend::DdConfig`] at manager creation.
+    /// `catch_unwind`.
     pub fn set_node_budget(&mut self, limit: Option<usize>) {
-        self.budget.set(limit, self.created);
+        self.budget.set(limit, self.nodes.len());
     }
 
-    /// Moves the budget baseline forward, making existing structure free.
-    /// Call at each unit-of-work (tuple) boundary.
+    /// Moves the budget baseline to the current arena size, making existing
+    /// structure free. Call at each unit-of-work (tuple) boundary.
     pub fn rebase_node_budget(&mut self) {
-        self.budget.rebase(self.created);
+        self.budget.rebase(self.nodes.len());
     }
 
     /// Sizes the apply caches to about `limit` slots (rounded down to a
@@ -271,37 +187,15 @@ impl BddManager {
     /// proportionally. The caches are fixed direct-mapped slabs, so
     /// this bounds their memory exactly; see
     /// [`crate::add::AddManager::set_apply_cache_limit`].
-    ///
-    /// On the shared backend this sizes the manager's private L1 caches;
-    /// the run-wide L2 caches are sized once, at
-    /// [`crate::backend::Shared::new`] time.
     pub fn set_apply_cache_limit(&mut self, limit: usize) {
-        match &mut self.store {
-            BddStore::Private(p) => {
-                p.apply_cache.resize(limit);
-                p.ite_cache = TernaryApplyCache::new((limit >> 1).max(16));
-            }
-            BddStore::Shared {
-                apply_l1, ite_l1, ..
-            } => {
-                apply_l1.resize(limit);
-                *ite_l1 = TernaryApplyCache::new((limit >> 1).max(16));
-            }
-        }
+        self.apply_cache.resize(limit);
+        self.ite_cache = TernaryApplyCache::new((limit >> 1).max(16));
     }
 
     /// Heap footprint of the operation-cache slabs, in bytes (fixed —
     /// independent of occupancy).
     pub fn apply_cache_bytes(&self) -> usize {
-        match &self.store {
-            BddStore::Private(p) => p.apply_cache.bytes() + p.ite_cache.bytes(),
-            BddStore::Shared {
-                store,
-                apply_l1,
-                ite_l1,
-                ..
-            } => apply_l1.bytes() + ite_l1.bytes() + store.binary.bytes() + store.ternary.bytes(),
-        }
+        self.apply_cache.bytes() + self.ite_cache.bytes()
     }
 
     /// Number of variables managed.
@@ -314,11 +208,7 @@ impl BddManager {
         assert!(self.num_vars < VarId::MAX_VARS, "too many variables");
         let v = VarId(self.num_vars);
         self.num_vars += 1;
-        // The shared table is global (the variable is part of the node key),
-        // so only the private per-variable subtables need extending.
-        if let BddStore::Private(p) = &mut self.store {
-            p.unique.push(Subtable::default());
-        }
+        self.unique.push(Subtable::default());
         v
     }
 
@@ -345,13 +235,8 @@ impl BddManager {
     }
 
     /// Total number of live nodes in the arena (including both terminals).
-    /// On the shared backend this is the *store-wide* count, racy while
-    /// other workers intern.
     pub fn arena_size(&self) -> usize {
-        match &self.store {
-            BddStore::Private(p) => p.nodes.len(),
-            BddStore::Shared { store, .. } => store.nodes.len(),
-        }
+        self.nodes.len()
     }
 
     /// The *logical* node behind `f` (terminals read as `var ==
@@ -376,86 +261,7 @@ impl BddManager {
     #[inline]
     fn raw_stored(&self, f: Bdd) -> Node {
         debug_assert!(!f.is_compl());
-        match &self.store {
-            BddStore::Private(p) => p.nodes[f.0 as usize],
-            BddStore::Shared { store, mirror, .. } => {
-                if let Some(slot) = mirror.get(f.0 as usize) {
-                    let (var, lo, hi) = slot.get();
-                    if lo != MIRROR_VACANT {
-                        return Node {
-                            var,
-                            lo: Bdd(lo),
-                            hi: Bdd(hi),
-                        };
-                    }
-                }
-                let n = store.nodes.node(f.0);
-                if let Some(slot) = mirror.get(f.0 as usize) {
-                    slot.set((n.var, n.lo, n.hi));
-                }
-                Node {
-                    var: n.var,
-                    lo: Bdd(n.lo),
-                    hi: Bdd(n.hi),
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn app_get(&self, op: u32, f: u32, g: u32) -> Option<u32> {
-        match &self.store {
-            BddStore::Private(p) => p.apply_cache.get(op, f, g),
-            BddStore::Shared {
-                store, apply_l1, ..
-            } => apply_l1.get(op, f, g).or_else(|| {
-                store
-                    .publish()
-                    .then(|| store.binary.get(op, f, g))
-                    .flatten()
-            }),
-        }
-    }
-
-    #[inline]
-    fn app_put(&mut self, op: u32, f: u32, g: u32, r: u32) {
-        match &mut self.store {
-            BddStore::Private(p) => p.apply_cache.put(op, f, g, r),
-            BddStore::Shared {
-                store, apply_l1, ..
-            } => {
-                apply_l1.put(op, f, g, r);
-                if store.publish() {
-                    store.binary.put(op, f, g, r);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn ite_get(&self, f: u32, g: u32, h: u32) -> Option<u32> {
-        match &self.store {
-            BddStore::Private(p) => p.ite_cache.get(f, g, h),
-            BddStore::Shared { store, ite_l1, .. } => ite_l1.get(f, g, h).or_else(|| {
-                store
-                    .publish()
-                    .then(|| store.ternary.get(f, g, h))
-                    .flatten()
-            }),
-        }
-    }
-
-    #[inline]
-    fn ite_put(&mut self, f: u32, g: u32, h: u32, r: u32) {
-        match &mut self.store {
-            BddStore::Private(p) => p.ite_cache.put(f, g, h, r),
-            BddStore::Shared { store, ite_l1, .. } => {
-                ite_l1.put(f, g, h, r);
-                if store.publish() {
-                    store.ternary.put(f, g, h, r);
-                }
-            }
-        }
+        self.nodes[f.0 as usize]
     }
 
     /// The decision variable of `f`'s root, or `None` for terminals.
@@ -511,68 +317,26 @@ impl BddManager {
         );
         let flip = hi.0 & COMPL;
         let (lo, hi) = (Bdd(lo.0 ^ flip), Bdd(hi.0 ^ flip));
-        let id = match &mut self.store {
-            BddStore::Private(p) => {
-                let h = hash_pair(lo.0, hi.0);
-                let nodes = &p.nodes;
-                let sub = &mut p.unique[var as usize];
-                if let Some(found) = sub.get(h, |i| {
-                    let n = &nodes[i as usize];
-                    n.lo == lo && n.hi == hi
-                }) {
-                    found
-                } else {
-                    self.budget.charge("bdd-arena", self.created);
-                    let raw = u32::try_from(p.nodes.len()).expect("BDD arena full");
-                    // Ids must stay below the complement bit, and strictly
-                    // below COMPL − 1 so a complemented edge can never
-                    // collide with the MIRROR_VACANT sentinel.
-                    assert!(raw < COMPL - 1, "BDD arena full");
-                    p.nodes.push(Node { var, lo, hi });
-                    let nodes = &p.nodes;
-                    p.unique[var as usize].insert(h, raw, |i| {
-                        let n = &nodes[i as usize];
-                        hash_pair(n.lo.0, n.hi.0)
-                    });
-                    self.created += 1;
-                    raw
-                }
-            }
-            BddStore::Shared {
-                store,
-                memo,
-                mirror,
-                ..
-            } => {
-                if let Some(id) = memo.get(var, lo.0, hi.0) {
-                    return Bdd(id | flip);
-                }
-                // The budget verdict is precomputed so a CapacityExceeded
-                // unwind can never poison the shared table — `intern` does
-                // probe and insert under one stripe acquisition and returns
-                // `None` instead of inserting when over budget.
-                let over = self.budget.would_trip(self.created);
-                let Some((id, fresh)) = store.nodes.intern(var, lo.0, hi.0, over) else {
-                    self.budget.charge("bdd-arena", self.created);
-                    unreachable!("would_trip and charge disagree");
-                };
-                assert!(id < COMPL - 1, "BDD arena full");
-                if fresh {
-                    self.created += 1;
-                }
-                // `mk` is the one `&mut self` choke point every new id
-                // passes through, so the mirror is grown here; `raw` (which
-                // only has `&self`) fills out-of-range ids lazily.
-                let idx = id as usize;
-                if mirror.len() <= idx {
-                    mirror.resize(idx + 1, Cell::new((0, MIRROR_VACANT, 0)));
-                }
-                mirror[idx].set((var, lo.0, hi.0));
-                memo.put(var, lo.0, hi.0, id);
-                id
-            }
-        };
-        Bdd(id | flip)
+        let h = hash_pair(lo.0, hi.0);
+        let nodes = &self.nodes;
+        let sub = &mut self.unique[var as usize];
+        if let Some(found) = sub.get(h, |i| {
+            let n = &nodes[i as usize];
+            n.lo == lo && n.hi == hi
+        }) {
+            return Bdd(found | flip);
+        }
+        self.budget.charge("bdd-arena", self.nodes.len());
+        let raw = u32::try_from(self.nodes.len()).expect("BDD arena full");
+        // Ids must stay below the complement bit.
+        assert!(raw < COMPL, "BDD arena full");
+        self.nodes.push(Node { var, lo, hi });
+        let nodes = &self.nodes;
+        self.unique[var as usize].insert(h, raw, |i| {
+            let n = &nodes[i as usize];
+            hash_pair(n.lo.0, n.hi.0)
+        });
+        Bdd(raw | flip)
     }
 
     /// The literal `v`.
@@ -644,7 +408,7 @@ impl BddManager {
         }
         // Commutative: canonicalize the cache key.
         let (a, b) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        if let Some(r) = self.app_get(op.tag(), a.0, b.0) {
+        if let Some(r) = self.apply_cache.get(op.tag(), a.0, b.0) {
             return Bdd(r);
         }
         let va = self.var_of(a);
@@ -663,7 +427,7 @@ impl BddManager {
         let r0 = self.apply(op, a0, b0);
         let r1 = self.apply(op, a1, b1);
         let r = self.mk(top, r0, r1);
-        self.app_put(op.tag(), a.0, b.0, r.0);
+        self.apply_cache.put(op.tag(), a.0, b.0, r.0);
         r
     }
 
@@ -735,7 +499,7 @@ impl BddManager {
             let r = self.ite(f, ng, nh);
             return self.not(r);
         }
-        if let Some(r) = self.ite_get(f.0, g.0, h.0) {
+        if let Some(r) = self.ite_cache.get(f.0, g.0, h.0) {
             return Bdd(r);
         }
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
@@ -757,7 +521,7 @@ impl BddManager {
         let r0 = self.ite(f0, g0, h0);
         let r1 = self.ite(f1, g1, h1);
         let r = self.mk(top, r0, r1);
-        self.ite_put(f.0, g.0, h.0, r.0);
+        self.ite_cache.put(f.0, g.0, h.0, r.0);
         r
     }
 
@@ -954,47 +718,6 @@ impl BddManager {
         self.mk(level, l, h)
     }
 
-    /// Whether any of `keys` (full assignments, bit `i` = variable `i`)
-    /// satisfies `t` — exactly `and(from_keys(keys), t) != FALSE`, but
-    /// computed by a read-only radix descent that interns **zero** nodes
-    /// and touches no caches. `keys` is reordered in place.
-    ///
-    /// This is the fast path for the MAPI verification step, where almost
-    /// every row's spectrum support misses the `T`-matrix entirely: the
-    /// descent short-circuits on the first hit and prunes whole key blocks
-    /// on `t`'s false cofactors.
-    pub fn any_key_sat(&self, t: Bdd, keys: &mut [u128]) -> bool {
-        self.any_key_rec(0, self.num_vars, t, keys)
-    }
-
-    fn any_key_rec(&self, level: u32, n: u32, t: Bdd, keys: &mut [u128]) -> bool {
-        if keys.is_empty() || t == Bdd::FALSE {
-            return false;
-        }
-        if t == Bdd::TRUE || level == n {
-            return true;
-        }
-        let (t0, t1) = if self.var_of(t) == level {
-            (self.lo(t), self.hi(t))
-        } else {
-            (t, t)
-        };
-        let bit = 1u128 << level;
-        // Unstable in-place partition: low-half keys first.
-        let mut i = 0;
-        let mut j = keys.len();
-        while i < j {
-            if keys[i] & bit == 0 {
-                i += 1;
-            } else {
-                j -= 1;
-                keys.swap(i, j);
-            }
-        }
-        let (lo, hi) = keys.split_at_mut(i);
-        self.any_key_rec(level + 1, n, t0, lo) || self.any_key_rec(level + 1, n, t1, hi)
-    }
-
     /// One satisfying full assignment of `f` (don't-care variables are 0),
     /// or `None` for the constant-false function.
     pub fn one_sat(&self, f: Bdd) -> Option<u128> {
@@ -1060,24 +783,9 @@ impl BddManager {
 
     /// Clears the operation caches (the unique table is kept, so existing
     /// handles stay valid). Useful to bound memory on very long runs.
-    ///
-    /// On the shared backend the per-manager structures (L1 apply caches
-    /// and the quantification cache) are cleared — the run-wide L2 caches
-    /// stay, since other managers may be mid-operation on them and cached
-    /// handles are always safe to keep.
     pub fn clear_caches(&mut self) {
-        match &mut self.store {
-            BddStore::Private(p) => {
-                p.apply_cache.clear();
-                p.ite_cache.clear();
-            }
-            BddStore::Shared {
-                apply_l1, ite_l1, ..
-            } => {
-                apply_l1.clear();
-                ite_l1.clear();
-            }
-        }
+        self.apply_cache.clear();
+        self.ite_cache.clear();
         self.quant_cache.clear();
     }
 }
@@ -1318,40 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_matches_private_semantics() {
-        use crate::backend::{DdBackend, DdConfig, Shared};
-        let backend = Shared::new(None);
-        let cfg = DdConfig::default();
-        let mut sh = backend.bdd_manager(6, &cfg);
-        assert!(sh.is_shared());
-        let mut pv = BddManager::new(6);
-        assert!(!pv.is_shared());
-        let build = |m: &mut BddManager| {
-            let mut acc = m.constant(false);
-            for v in 0..6u32 {
-                let lit = m.var(VarId(v));
-                let a = m.and(acc, lit);
-                let o = m.or(acc, lit);
-                let x = m.xor(a, o);
-                acc = m.ite(lit, x, acc);
-            }
-            acc
-        };
-        let f = build(&mut sh);
-        let g = build(&mut pv);
-        for a in 0..64u128 {
-            assert_eq!(sh.eval(f, a), pv.eval(g, a), "at {a:b}");
-        }
-        // A second shared manager re-finds the same handles without
-        // creating nodes.
-        let nodes = sh.arena_size();
-        let mut sh2 = backend.bdd_manager(6, &cfg);
-        let h = build(&mut sh2);
-        assert_eq!(f, h, "shared handles must be canonical across managers");
-        assert_eq!(sh2.arena_size(), nodes, "no duplicate nodes interned");
-    }
-
-    #[test]
     fn complement_edges_make_negation_free() {
         let mut m = mgr();
         let x = m.var(VarId(0));
@@ -1396,34 +1070,5 @@ mod tests {
         assert_eq!(m.sat_count(f) + m.sat_count(nf), 16);
         let w = m.one_sat(nf).expect("satisfiable");
         assert!(!m.eval(f, w));
-    }
-
-    #[test]
-    fn any_key_sat_matches_intersection_semantics() {
-        let mut m = mgr();
-        let x = m.var(VarId(0));
-        let y = m.var(VarId(1));
-        let z = m.var(VarId(2));
-        let xy = m.and(x, y);
-        let t = m.xor(xy, z);
-        for mask in 0..256u32 {
-            let mut keys: Vec<u128> = (0..8u128).filter(|k| mask >> k & 1 == 1).collect();
-            let expect = keys.iter().any(|&k| m.eval(t, k));
-            assert_eq!(
-                m.any_key_sat(t, &mut keys),
-                expect,
-                "mask={mask:08b} t=xy^z"
-            );
-        }
-        // Constants and the empty key set.
-        let mut keys = vec![0u128, 5];
-        assert!(m.any_key_sat(Bdd::TRUE, &mut keys));
-        assert!(!m.any_key_sat(Bdd::FALSE, &mut keys));
-        assert!(!m.any_key_sat(t, &mut []));
-        // No nodes are interned by the descent.
-        let before = m.arena_size();
-        let mut all: Vec<u128> = (0..16).collect();
-        assert!(m.any_key_sat(t, &mut all));
-        assert_eq!(m.arena_size(), before);
     }
 }

@@ -52,7 +52,7 @@ pub fn exceeded(arena: &'static str, grown: usize, limit: usize) -> ! {
     })
 }
 
-/// Shared budget bookkeeping embedded in each manager.
+/// Budget bookkeeping embedded in each manager.
 ///
 /// `base` is rebased to the current arena size at each tuple boundary so the
 /// budget measures *growth attributable to the current combination*, not the
@@ -87,16 +87,6 @@ impl NodeBudget {
                 exceeded(arena, grown + 1, limit);
             }
         }
-    }
-
-    /// Whether [`NodeBudget::charge`] would diverge at `current` — the
-    /// non-panicking form, for callers that must decide *before* taking a
-    /// lock (raising [`CapacityExceeded`] under a shared-table stripe mutex
-    /// would poison it for every other worker).
-    #[inline]
-    pub(crate) fn would_trip(&self, current: usize) -> bool {
-        self.limit
-            .is_some_and(|limit| current.saturating_sub(self.base) >= limit)
     }
 }
 

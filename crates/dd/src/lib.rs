@@ -21,15 +21,12 @@
 //! unique subtables and fixed direct-mapped lossy apply caches (see
 //! DESIGN.md §12 and the [`fasthash`] module docs).
 //!
-//! ## Backends
+//! ## Node store
 //!
-//! Since 0.3 a manager's node store is selected through the sealed
-//! [`backend::DdBackend`] factory trait: [`backend::Private`] (each manager
-//! owns its arena and caches — the default, and the only behaviour before
-//! 0.3) or [`backend::Shared`] (all managers created from one backend value
-//! intern into a single concurrent store, so scheduler workers reuse each
-//! other's nodes and apply results; DESIGN.md §14). The backend never
-//! changes results — only speed and memory.
+//! Each manager owns its node store outright, as a CUDD manager does: the
+//! arena, the unique tables and the apply caches live in the manager, and
+//! handles are only meaningful for the manager that produced them. A
+//! parallel verification run gives every scheduler worker its own managers.
 //!
 //! ## Example
 //!
@@ -56,21 +53,18 @@
 
 pub mod add;
 pub mod anf;
-pub mod backend;
 pub mod bdd;
 pub mod budget;
 pub mod dot;
 pub mod dyadic;
 pub mod fasthash;
 pub mod reorder;
-mod shared;
 pub mod spectral;
 mod table;
 pub mod threshold;
 pub mod var;
 
 pub use add::{Add, AddManager};
-pub use backend::{Backend, DdBackend, DdConfig, Private, Shared};
 pub use bdd::{Bdd, BddManager};
 pub use budget::CapacityExceeded;
 pub use dyadic::Dyadic;
@@ -78,20 +72,19 @@ pub use fasthash::{FastHasher, FastMap, FastSet};
 pub use var::{VarId, VarSet};
 
 /// The minimal import surface for typical consumers: handle types, the two
-/// managers, backend selection, and the arithmetic/variable vocabulary.
+/// managers, and the arithmetic/variable vocabulary.
 ///
 /// ```
 /// use walshcheck_dd::prelude::*;
 ///
-/// let backend: Box<dyn DdBackend> = walshcheck_dd::backend::runtime(Backend::Private, None);
-/// let mut m = backend.bdd_manager(2, &DdConfig::default());
+/// let mut m = BddManager::new(2);
+/// m.set_node_budget(Some(64));
 /// let x = m.var(VarId(0));
 /// let y = m.var(VarId(1));
 /// assert_ne!(m.and(x, y), Bdd::FALSE);
 /// ```
 pub mod prelude {
     pub use crate::add::{Add, AddManager};
-    pub use crate::backend::{Backend, DdBackend, DdConfig, Private, Shared};
     pub use crate::bdd::{Bdd, BddManager};
     pub use crate::budget::CapacityExceeded;
     pub use crate::dyadic::Dyadic;

@@ -93,9 +93,9 @@ pub fn inverse_wht(adds: &mut AddManager<Dyadic>, g: Add) -> Add {
 /// caches — memoization affects time, never results), and must be cleared
 /// by the owner whenever the underlying manager's handles are invalidated.
 ///
-/// On the shared backend the memo is additionally backed by the run-wide
-/// binary apply cache under reserved tags (L2): a transform one worker
-/// computed is visible to all others, keyed by the same canonical handles.
+/// The memo is additionally backed by the manager's own binary apply cache
+/// under reserved tags (L2), so an entry the L1 map dropped on a flush can
+/// still be answered from the cache.
 #[derive(Debug, Default)]
 pub struct WhtMemo {
     memo: FastMap<(Add, u32), Add>,

@@ -138,7 +138,7 @@ impl Subtable {
 ///
 /// Rounding *down* keeps the fixed slab within the byte budget the caller
 /// derived the limit from.
-pub(crate) fn slots_for(limit: usize) -> usize {
+fn slots_for(limit: usize) -> usize {
     let limit = limit.max(MIN_SUBTABLE_SLOTS);
     if limit.is_power_of_two() {
         limit

@@ -31,13 +31,6 @@
 //!   --cache-budget BYTES             per-worker prefix-cache budget
 //!   --node-budget NODES              per-combination decision-diagram cap;
 //!                                    over-budget combinations are quarantined
-//!   --dd-backend private|shared      decision-diagram node store: per-worker
-//!                                    arenas (private, the default) or one
-//!                                    concurrent store all workers intern into
-//!                                    (shared). Results are byte-identical
-//!                                    either way; the default can also be set
-//!                                    with WALSHCHECK_DD_BACKEND (which is how
-//!                                    a `walshcheck serve` daemon is steered)
 //!   --presift                        sift BDD variable order once before
 //!                                    enumeration (witnesses still reported in
 //!                                    the original input numbering)
@@ -86,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use walshcheck::daemon::{Client, Daemon, DaemonConfig};
 use walshcheck::prelude::*;
-use walshcheck_core::{run_report_json, Backend, Error};
+use walshcheck_core::{run_report_json, Error};
 
 /// Exit code for proved-secure full sweeps.
 const EXIT_SECURE: u8 = 0;
@@ -187,7 +180,6 @@ struct Cli {
     cache: bool,
     cache_budget: Option<usize>,
     node_budget: Option<usize>,
-    backend: Option<Backend>,
     presift: bool,
     dense_cut: Option<u32>,
     sift: Option<SiftMode>,
@@ -215,7 +207,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
         cache: true,
         cache_budget: None,
         node_budget: None,
-        backend: None,
         presift: false,
         dense_cut: None,
         sift: None,
@@ -281,14 +272,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
                         .parse()
                         .map_err(|_| bad("--node-budget"))?,
                 )
-            }
-            "--dd-backend" => {
-                let name = value("--dd-backend")?.to_lowercase();
-                cli.backend = Some(Backend::parse(&name).ok_or_else(|| {
-                    Error::Config(format!(
-                        "unknown backend `{name}` (expected private or shared)"
-                    ))
-                })?);
             }
             "--presift" => cli.presift = true,
             "--dense-cut" => {
@@ -484,11 +467,6 @@ fn spec_from_cli(netlist: &Netlist, cli: &Cli) -> Result<JobSpec, Error> {
     }
     if let Some(nodes) = cli.node_budget {
         builder = builder.node_budget(nodes);
-    }
-    // Absent --dd-backend, the builder keeps the WALSHCHECK_DD_BACKEND /
-    // private default, which is also what a daemon applies to submissions.
-    if let Some(backend) = cli.backend {
-        builder = builder.dd_backend(backend);
     }
     if cli.presift {
         builder = builder.presift(true);
@@ -1140,8 +1118,7 @@ fn main() -> ExitCode {
                  \x20        --engine lil|map|mapi|fujita    --mode rowwise|joint\n\
                  \x20        --glitch  --threads N  --time-limit SECS  --no-prefilter\n\
                  \x20        --no-cache  --cache-budget BYTES  --node-budget NODES\n\
-                 \x20        --dd-backend private|shared  --presift\n\
-                 \x20        --dense-cut N  --sift auto|rescue|off\n\
+                 \x20        --presift  --dense-cut N  --sift auto|rescue|off\n\
                  \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
                  \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
                  \x20        --minimize  --progress  --json\n\n\

@@ -56,19 +56,6 @@ fn worker_batches_partition_the_combination_space() {
 }
 
 #[test]
-fn modulo_shards_partition_the_combination_space() {
-    // The legacy statically-sharded implementation is kept as a bench
-    // baseline; it must still agree with the serial run.
-    let n = Benchmark::Dom(2).netlist();
-    let serial = check(&n, Property::Sni(2));
-    let par =
-        walshcheck_core::check_parallel_modulo(&n, Property::Sni(2), &VerifyOptions::default(), 3)
-            .expect("valid");
-    assert_eq!(par.stats.combinations, serial.stats.combinations);
-    assert_eq!(par.secure, serial.secure);
-}
-
-#[test]
 fn job_spec_and_session_agree() {
     // The 0.3 Job API and the Session builder are the same execution path;
     // a spec round-tripped through its canonical JSON must reproduce the

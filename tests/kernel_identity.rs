@@ -18,7 +18,6 @@
 
 use std::fmt::Write as _;
 
-use walshcheck::core::Backend;
 use walshcheck::prelude::*;
 
 fn engines() -> [EngineKind; 4] {
@@ -35,14 +34,7 @@ fn engines() -> [EngineKind; 4] {
 /// with a witness the count is scheduling-dependent by design. `paper`
 /// additionally pins the paper-faithful configuration (row-wise checking
 /// with the prefilter off — the benchmark harness path).
-fn fingerprint(
-    label: &str,
-    n: &Netlist,
-    prop: Property,
-    paper: bool,
-    backend: Backend,
-    out: &mut String,
-) {
+fn fingerprint(label: &str, n: &Netlist, prop: Property, paper: bool, out: &mut String) {
     for engine in engines() {
         for threads in [1usize, 4] {
             for cache in [true, false] {
@@ -51,8 +43,7 @@ fn fingerprint(
                     .engine(engine)
                     .property(prop)
                     .threads(threads)
-                    .cache(cache)
-                    .dd_backend(backend);
+                    .cache(cache);
                 if paper {
                     session = session.mode(CheckMode::RowWise).prefilter(false);
                 }
@@ -95,7 +86,7 @@ fn corpus_files() -> Vec<std::path::PathBuf> {
     files
 }
 
-fn full_fingerprint(backend: Backend) -> String {
+fn full_fingerprint() -> String {
     let mut out = String::new();
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path).expect("readable");
@@ -103,7 +94,7 @@ fn full_fingerprint(backend: Backend) -> String {
         let shares = n.shares_of(walshcheck::circuit::SecretId(0)).len() as u32;
         let d = shares.saturating_sub(1).max(1);
         let label = path.file_name().unwrap().to_string_lossy().into_owned();
-        fingerprint(&label, &n, Property::Probing(d), false, backend, &mut out);
+        fingerprint(&label, &n, Property::Probing(d), false, &mut out);
     }
     for bench in [Benchmark::Dom(2), Benchmark::Keccak(1)] {
         let n = bench.netlist();
@@ -112,7 +103,6 @@ fn full_fingerprint(backend: Backend) -> String {
             &n,
             Property::Sni(bench.security_order()),
             false,
-            backend,
             &mut out,
         );
     }
@@ -125,7 +115,7 @@ fn full_fingerprint(backend: Backend) -> String {
         let shares = n.shares_of(walshcheck::circuit::SecretId(0)).len() as u32;
         let d = shares.saturating_sub(1).max(1);
         let label = path.file_name().unwrap().to_string_lossy().into_owned();
-        fingerprint(&label, &n, Property::Probing(d), true, backend, &mut out);
+        fingerprint(&label, &n, Property::Probing(d), true, &mut out);
     }
     for bench in [Benchmark::Dom(2), Benchmark::Keccak(1)] {
         let n = bench.netlist();
@@ -134,7 +124,6 @@ fn full_fingerprint(backend: Backend) -> String {
             &n,
             Property::Sni(bench.security_order()),
             true,
-            backend,
             &mut out,
         );
     }
@@ -145,7 +134,7 @@ fn full_fingerprint(backend: Backend) -> String {
 fn verdicts_and_witnesses_match_the_pre_rewrite_kernel() {
     let golden_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/kernel_verdicts.txt");
-    let current = full_fingerprint(Backend::from_env());
+    let current = full_fingerprint();
     if std::env::var_os("WALSHCHECK_BLESS").is_some() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).expect("golden dir");
         std::fs::write(&golden_path, &current).expect("golden writable");
@@ -170,28 +159,4 @@ fn verdicts_and_witnesses_match_the_pre_rewrite_kernel() {
         );
         panic!("fingerprints differ in whitespace only?");
     }
-}
-
-#[test]
-fn shared_backend_reproduces_the_golden_fingerprints() {
-    // The shared concurrent store must be result-invisible: the complete
-    // engines × threads × cache fingerprint, forced onto `Backend::Shared`,
-    // matches the golden fixture blessed on the private backend line for
-    // line. (The golden test above runs on the env-default backend, so
-    // under WALSHCHECK_DD_BACKEND=shared both tests pin the same contract
-    // from both directions.) Never re-bless the fixture for a backend
-    // difference — a mismatch here is a kernel bug by definition.
-    let golden_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/kernel_verdicts.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden fixture present; bless with WALSHCHECK_BLESS=1");
-    let current = full_fingerprint(Backend::Shared);
-    for (i, (g, c)) in golden.lines().zip(current.lines()).enumerate() {
-        assert_eq!(g, c, "shared backend diverges at line {}", i + 1);
-    }
-    assert_eq!(
-        golden.lines().count(),
-        current.lines().count(),
-        "fingerprint line counts differ"
-    );
 }

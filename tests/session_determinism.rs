@@ -15,7 +15,7 @@
 //! witness must be byte-identical with the cache on, off, or thrashing
 //! under a tiny budget — at any thread count.
 
-use walshcheck::core::{Backend, Job, JobSpec, Report};
+use walshcheck::core::{Job, JobSpec, Report};
 use walshcheck::prelude::*;
 use walshcheck_gadgets::composition::composition_fig1;
 use walshcheck_gadgets::isw::isw_and_broken;
@@ -297,69 +297,25 @@ fn report_artifacts_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn report_artifacts_are_byte_identical_across_dd_backends() {
-    // The DD backend (per-worker private arenas vs one shared concurrent
-    // store) is a speed/memory knob, never a result knob: for every engine,
-    // at 1, 4 and 8 workers, both backends must produce byte-identical
-    // report/5 artifacts — which is why `JobSpec::identity_json` excludes
-    // the backend and the artifact store shares results across it.
-    for (label, n, prop) in [
-        ("dom-1", Benchmark::Dom(1).netlist(), Property::Sni(1)),
-        ("isw-2-broken", isw_and_broken(2), Property::Sni(2)),
-    ] {
-        for engine in engines() {
-            let artifact = |backend: Backend, threads: usize| {
-                let mut spec = JobSpec::new(prop);
-                spec.options.engine = engine;
-                spec.options.backend = backend;
-                spec.threads = threads;
-                let mut job = Job::new(&n, spec).expect("valid");
-                let verdict = job.run();
-                let report = Report::new(&n, job.spec(), &verdict);
-                (
-                    report.canonical_json().to_string(),
-                    report.hash().to_string(),
-                )
-            };
-            let (base_bytes, base_hash) = artifact(Backend::Private, 1);
-            for backend in [Backend::Private, Backend::Shared] {
-                for threads in [1usize, 4, 8] {
-                    let (bytes, hash) = artifact(backend, threads);
-                    assert_eq!(
-                        base_bytes, bytes,
-                        "{label} {engine}: artifact bytes differ on {backend} t{threads}"
-                    );
-                    assert_eq!(
-                        base_hash, hash,
-                        "{label} {engine}: artifact hash differs on {backend} t{threads}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn report_artifacts_are_byte_identical_across_speed_knobs() {
-    // PR-10's speed knobs — the dense spectral kernel (`dense_cut`), the
+    // The speed knobs — the dense spectral kernel (`dense_cut`), the
     // in-sweep sifted screen (`SiftMode::Auto`) and the bounded spectral
-    // memos — are pure time/memory trades like the prefix cache and the
-    // DD backend before them. The full matrix (dense kernel on/off ×
-    // sift auto/rescue/off × private/shared store × 1/8 workers) must
-    // produce byte-identical report/5 artifacts, which is why
-    // `JobSpec::identity_json` excludes both knobs.
+    // memos — are pure time/memory trades like the prefix cache before
+    // them. The full matrix (every engine × dense kernel on/off × sift
+    // auto/rescue/off × 1/8 workers) must produce byte-identical report/5
+    // artifacts, which is why `JobSpec::identity_json` excludes both
+    // knobs.
     for (label, n, prop) in [
         ("dom-1", Benchmark::Dom(1).netlist(), Property::Sni(1)),
         ("ti-1", Benchmark::Ti1.netlist(), Property::Sni(1)),
         ("isw-2-broken", isw_and_broken(2), Property::Sni(2)),
     ] {
         for engine in engines() {
-            let artifact = |dense_cut: u32, sift: SiftMode, backend: Backend, threads: usize| {
+            let artifact = |dense_cut: u32, sift: SiftMode, threads: usize| {
                 let mut spec = JobSpec::new(prop);
                 spec.options.engine = engine;
                 spec.options.dense_cut = dense_cut;
                 spec.options.sift = sift;
-                spec.options.backend = backend;
                 spec.threads = threads;
                 let mut job = Job::new(&n, spec).expect("valid");
                 let verdict = job.run();
@@ -369,29 +325,21 @@ fn report_artifacts_are_byte_identical_across_speed_knobs() {
                     report.hash().to_string(),
                 )
             };
-            let (base_bytes, base_hash) = artifact(
-                VerifyOptions::default().dense_cut,
-                SiftMode::Rescue,
-                Backend::Private,
-                1,
-            );
+            let (base_bytes, base_hash) =
+                artifact(VerifyOptions::default().dense_cut, SiftMode::Rescue, 1);
             for dense_cut in [12u32, 0] {
                 for sift in [SiftMode::Auto, SiftMode::Rescue, SiftMode::Off] {
-                    for (backend, threads) in [
-                        (Backend::Private, 1usize),
-                        (Backend::Private, 8),
-                        (Backend::Shared, 8),
-                    ] {
-                        let (bytes, hash) = artifact(dense_cut, sift, backend, threads);
+                    for threads in [1usize, 8] {
+                        let (bytes, hash) = artifact(dense_cut, sift, threads);
                         assert_eq!(
                             base_bytes, bytes,
                             "{label} {engine}: artifact bytes differ at dense_cut={dense_cut} \
-                             sift={sift} {backend} t{threads}"
+                             sift={sift} t{threads}"
                         );
                         assert_eq!(
                             base_hash, hash,
                             "{label} {engine}: artifact hash differs at dense_cut={dense_cut} \
-                             sift={sift} {backend} t{threads}"
+                             sift={sift} t{threads}"
                         );
                     }
                 }
