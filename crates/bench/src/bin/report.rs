@@ -3,7 +3,6 @@
 //! ```text
 //! report [--full] [--limit SECS] [table1|table2|table3|fig6|fig7|all]
 //! report --json BENCH_5.json [--label NAME] [--samples N] [--full]
-//! report --perf-smoke BENCH_5.json [--factor F] [--samples N]
 //! report --table1-smoke BENCH_10.json [--factor F] [--samples N]
 //! ```
 //!
@@ -19,19 +18,15 @@
 //! given file (an existing run with the same label is replaced, everything
 //! else is preserved — the file is the project's perf history).
 //!
-//! `--perf-smoke` is the CI regression guard: it re-times the dom-2 and
-//! keccak-1 MAPI checks and exits non-zero if either median regresses more
-//! than `--factor` (default 1.5, generous to tolerate CI noise) against the
-//! last recorded run in the file.
-//!
 //! `--table1-smoke` guards the high-order speed knobs specifically: it
 //! re-times the dom-2 MAPI check against the last recorded run with a
 //! tight default factor (1.1 — the knobs must not cost what they bought),
 //! then runs a determinism A/B on the same gadget — report/5 artifacts
-//! across dense kernel on/off × sift auto/off × 1/4 workers must be
-//! byte-identical, since none of the knobs is part of the job identity.
-//! The perf leg compares the Table I *speed-up* (LIL/MAPI) rather than
-//! absolute seconds so machine speed and CI load cancel out.
+//! across dense kernel on/off × 1/4 workers must be byte-identical, since
+//! neither is part of the job identity. The perf leg compares the Table I
+//! *speed-up* (LIL/MAPI) rather than absolute seconds so machine speed and
+//! CI load cancel out; absolute MAPI times are gated by walshbench's
+//! `table1` workload (see `BENCHMARK.json`).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -275,7 +270,7 @@ fn json_mode(path: &str, label: &str, samples: usize, full: bool, limit: Option<
     );
 
     // Merge with the existing history: drop any run with the same label,
-    // keep everything else in order, append the new run last (perf-smoke
+    // keep everything else in order, append the new run last (table1-smoke
     // uses the last run as its baseline).
     let mut runs: Vec<Json> = std::fs::read_to_string(path)
         .ok()
@@ -295,84 +290,15 @@ fn json_mode(path: &str, label: &str, samples: usize, full: bool, limit: Option<
     eprintln!("recorded run `{label}` in {path}");
 }
 
-/// The gadgets guarded by the CI smoke job: small enough to run on every
-/// push, big enough that a kernel regression shows up in the timing.
-const SMOKE_GADGETS: [&str; 2] = ["dom-2", "keccak-1"];
-
-/// Compares fresh MAPI medians against the last recorded run in `path`;
-/// exits non-zero if any gadget regressed more than `factor`.
-fn perf_smoke(path: &str, factor: f64, samples: usize) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("perf-smoke: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("perf-smoke: cannot parse {path}: {e}");
-        std::process::exit(2);
-    });
-    let baseline = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .and_then(<[Json]>::last)
-        .unwrap_or_else(|| {
-            eprintln!("perf-smoke: {path} has no recorded runs");
-            std::process::exit(2);
-        });
-    let base_label = baseline
-        .get("label")
-        .and_then(Json::as_str)
-        .unwrap_or("<unlabeled>");
-    let mut failed = false;
-    println!("perf-smoke vs `{base_label}` (fail factor {factor})");
-    println!(
-        "{:<12} {:>12} {:>12} {:>8}",
-        "gadget", "baseline_s", "current_s", "ratio"
-    );
-    for name in SMOKE_GADGETS {
-        let base = baseline
-            .get("gadgets")
-            .and_then(Json::as_arr)
-            .and_then(|gs| {
-                gs.iter()
-                    .find(|g| g.get("gadget").and_then(Json::as_str) == Some(name))
-            })
-            .and_then(|g| g.get("mapi"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!("perf-smoke: no mapi baseline for {name} in {path}");
-                std::process::exit(2);
-            });
-        let bench = Benchmark::all()
-            .into_iter()
-            .find(|b| b.name() == name)
-            .expect("smoke gadget exists");
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| secs(run_engine_with(bench, EngineKind::Mapi, None).total))
-            .collect();
-        let current = median(&mut times);
-        let ratio = current / base.max(1e-9);
-        println!("{name:<12} {base:>12.6} {current:>12.6} {ratio:>8.2}");
-        if ratio > factor {
-            eprintln!("perf-smoke: {name} MAPI regressed {ratio:.2}x (limit {factor}x)");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("perf-smoke: ok");
-}
-
 /// The gadget guarded by the table1 smoke: the smallest second-order
-/// benchmark, so both the dense kernel and the screen are exercised on
-/// every push without the job dominating CI time.
+/// benchmark, so the dense kernel is exercised on every push without the
+/// job dominating CI time.
 const TABLE1_SMOKE_GADGET: &str = "dom-2";
 
 /// Guards PR-10's speed knobs: the dom-2 Table I speed-up (LIL/MAPI) must
 /// not drop more than `factor` below the last recorded run, and report/5
 /// artifacts must stay byte-identical across the knob matrix.
 fn table1_smoke(path: &str, factor: f64, samples: usize) {
-    use walshcheck_core::engine::SiftMode;
     use walshcheck_core::{Job, JobSpec, Report, VerifyOptions};
 
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -440,11 +366,10 @@ fn table1_smoke(path: &str, factor: f64, samples: usize) {
     // Determinism leg: one base artifact, then every A/B leg of the knob
     // matrix must reproduce its exact bytes and hash.
     let netlist = bench.netlist();
-    let artifact = |dense_cut: u32, sift: SiftMode, threads: usize| {
+    let artifact = |dense_cut: u32, threads: usize| {
         let mut spec = JobSpec::new(paper_property(bench));
         spec.options = VerifyOptions::paper(EngineKind::Mapi);
         spec.options.dense_cut = dense_cut;
-        spec.options.sift = sift;
         spec.threads = threads;
         let mut job = Job::new(&netlist, spec).expect("benchmark netlists are valid");
         let verdict = job.run();
@@ -455,25 +380,17 @@ fn table1_smoke(path: &str, factor: f64, samples: usize) {
         )
     };
     let default_cut = VerifyOptions::default().dense_cut;
-    let (base_bytes, base_hash) = artifact(default_cut, SiftMode::Rescue, 1);
-    for (dense_cut, sift, threads) in [
-        (0, SiftMode::Rescue, 1),
-        (default_cut, SiftMode::Auto, 1),
-        (0, SiftMode::Off, 4),
-        (default_cut, SiftMode::Auto, 4),
-    ] {
-        let (bytes, hash) = artifact(dense_cut, sift, threads);
+    let (base_bytes, base_hash) = artifact(default_cut, 1);
+    for (dense_cut, threads) in [(0, 1), (default_cut, 4), (0, 4)] {
+        let (bytes, hash) = artifact(dense_cut, threads);
         if bytes != base_bytes || hash != base_hash {
             eprintln!(
-                "table1-smoke: artifact diverged at dense_cut={dense_cut} sift={sift} \
+                "table1-smoke: artifact diverged at dense_cut={dense_cut} \
                  threads={threads} ({hash} vs {base_hash})"
             );
             failed = true;
         } else {
-            println!(
-                "table1-smoke: artifact stable at dense_cut={dense_cut} sift={sift} \
-                 threads={threads}"
-            );
+            println!("table1-smoke: artifact stable at dense_cut={dense_cut} threads={threads}");
         }
     }
     if failed {
@@ -497,14 +414,6 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(5)
         .max(1);
-
-    if let Some(path) = flag_value(&args, "--perf-smoke") {
-        let factor = flag_value(&args, "--factor")
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(1.5);
-        perf_smoke(path, factor, samples);
-        return;
-    }
 
     if let Some(path) = flag_value(&args, "--table1-smoke") {
         let factor = flag_value(&args, "--factor")

@@ -177,7 +177,9 @@ impl Checkpoint {
 /// 64-bit FNV-1a over the canonical run identity: the netlist's ILANG dump,
 /// the property, and every option that influences the enumeration order or
 /// per-combination results (engine, mode, site extraction, prefilter,
-/// largest-first, node budget, presift). Deliberately excluded:
+/// largest-first, node budget), plus a constant `false` where the retired
+/// presift flag stood, so existing checkpoints keep their fingerprint.
+/// Deliberately excluded:
 /// `time_limit` (a resumed run usually changes it), `threads` (results are
 /// thread-count independent by design) and the prefix cache knobs (proven
 /// verdict-neutral, DESIGN.md §9).
@@ -193,14 +195,13 @@ pub fn fingerprint(netlist: &Netlist, property: Property, options: &VerifyOption
     write(property.to_string().as_bytes());
     write(
         format!(
-            "|{:?}|{:?}|{:?}|{}|{}|{:?}|{}",
+            "|{:?}|{:?}|{:?}|{}|{}|{:?}|false",
             options.engine,
             options.mode,
             options.sites,
             options.prefilter,
             options.largest_first,
             options.node_budget,
-            options.presift,
         )
         .as_bytes(),
     );

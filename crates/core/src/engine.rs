@@ -88,57 +88,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// When the engines may re-order decision-diagram variables by greedy
-/// sifting ([`walshcheck_dd::reorder::sift`]).
-///
-/// Unlike [`VerifyOptions::presift`] — which changes which diagrams exist
-/// and is therefore part of job identity — every mode here is a pure speed
-/// knob: verdicts, witnesses and report artifacts are byte-identical across
-/// all three settings (violations screened in a sifted order are always
-/// re-derived in the original order before a witness is emitted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SiftMode {
-    /// Never sift, not even in the rescue ladder.
-    Off,
-    /// Sift only as the rescue ladder's second rung (the pre-PR-10
-    /// behavior).
-    #[default]
-    Rescue,
-    /// Additionally screen sweep combinations in a sifted variable order
-    /// when the unfolded forest is large enough to pay for the reorder
-    /// (see `AUTO_SIFT_WATERMARK`); requires no node budget, since budget
-    /// quarantine points depend on diagram sizes and must not move.
-    Auto,
-}
-
-impl SiftMode {
-    /// Stable lowercase machine-readable name: `"off"`, `"rescue"` or
-    /// `"auto"`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SiftMode::Off => "off",
-            SiftMode::Rescue => "rescue",
-            SiftMode::Auto => "auto",
-        }
-    }
-
-    /// Inverse of [`SiftMode::as_str`].
-    pub fn parse(s: &str) -> Option<SiftMode> {
-        match s {
-            "off" => Some(SiftMode::Off),
-            "rescue" => Some(SiftMode::Rescue),
-            "auto" => Some(SiftMode::Auto),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SiftMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Options for a verification run.
 ///
 /// Construct with [`VerifyOptions::builder`], [`VerifyOptions::default`] or
@@ -149,7 +98,9 @@ impl std::fmt::Display for SiftMode {
 ///
 /// Work distribution is no longer part of the options: sharding and
 /// cross-worker cancellation are internal to the work-stealing scheduler
-/// and are driven by [`crate::Session::threads`].
+/// and are driven by [`crate::Session::threads`]. Neither is variable
+/// order: greedy sifting runs only as the rescue ladder's second rung
+/// (see [`crate::recover`]).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct VerifyOptions {
@@ -181,12 +132,6 @@ pub struct VerifyOptions {
     /// Byte budget of each worker's prefix cache (least-recently-used
     /// eviction above it). `0` disables caching like `cache = false`.
     pub cache_budget: usize,
-    /// Greedily sift the unfolded wire functions into a smaller variable
-    /// order before enumerating ([`walshcheck_dd::reorder::sift`]); witness
-    /// coordinates are mapped back to the original numbering. Changes which
-    /// diagrams are built, so — unlike the speed knobs below — it is part
-    /// of job identity.
-    pub presift: bool,
     /// Support width at or below which spectral kernels (map convolution,
     /// sparse Walsh transforms, the ADD WHT) drop to a flat integer
     /// butterfly instead of pointer-chasing DD recursions. The dense
@@ -195,10 +140,6 @@ pub struct VerifyOptions {
     /// byte-identical at any cut — a pure speed knob, excluded from job
     /// identity. `0` disables them.
     pub dense_cut: u32,
-    /// Where greedy variable sifting may run (see [`SiftMode`]). A pure
-    /// speed knob under the determinism contract, excluded from job
-    /// identity.
-    pub sift: SiftMode,
 }
 
 /// Default per-worker prefix-cache budget (64 MiB).
@@ -209,10 +150,6 @@ pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 /// `i64`s — L1-resident) while covering the small cones that dominate
 /// low-order sweeps.
 pub const DEFAULT_DENSE_CUT: u32 = 12;
-
-/// Minimum unfolded-forest size (distinct nodes over every site function)
-/// at which [`SiftMode::Auto`] pays for a greedy reorder of the sweep.
-const AUTO_SIFT_WATERMARK: usize = 2_048;
 
 impl Default for VerifyOptions {
     fn default() -> Self {
@@ -226,9 +163,7 @@ impl Default for VerifyOptions {
             node_budget: None,
             cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            presift: false,
             dense_cut: DEFAULT_DENSE_CUT,
-            sift: SiftMode::Rescue,
         }
     }
 }
@@ -254,9 +189,7 @@ impl VerifyOptions {
             node_budget: None,
             cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            presift: false,
             dense_cut: DEFAULT_DENSE_CUT,
-            sift: SiftMode::Rescue,
         }
     }
 
@@ -365,21 +298,9 @@ impl VerifyOptionsBuilder {
         self
     }
 
-    /// Pre-enumeration sifting on/off (see [`VerifyOptions::presift`]).
-    pub fn presift(mut self, on: bool) -> Self {
-        self.options.presift = on;
-        self
-    }
-
     /// Dense spectral-kernel support cut (see [`VerifyOptions::dense_cut`]).
     pub fn dense_cut(mut self, cut: u32) -> Self {
         self.options.dense_cut = cut;
-        self
-    }
-
-    /// Sifting mode (see [`SiftMode`]).
-    pub fn sift(mut self, mode: SiftMode) -> Self {
-        self.options.sift = mode;
         self
     }
 
@@ -389,22 +310,12 @@ impl VerifyOptionsBuilder {
     }
 }
 
-/// Variable-order bookkeeping of an applied pre-enumeration sift: the
-/// verifier's unfolding and varmap live in the permuted numbering, and
-/// outward-facing witness coordinates are mapped back through `inverse`.
-#[derive(Debug)]
-struct PresiftState {
-    /// `inverse[new_level] = old variable`.
-    inverse: Vec<VarId>,
-}
-
 /// The exact spectral verifier for one netlist.
 #[derive(Debug)]
 pub struct Verifier {
     netlist: Netlist,
     unfolded: Unfolded,
     varmap: VarMap,
-    presift: Option<PresiftState>,
 }
 
 impl Verifier {
@@ -421,47 +332,7 @@ impl Verifier {
             netlist: netlist.clone(),
             unfolded,
             varmap,
-            presift: None,
         })
-    }
-
-    /// Greedily sifts the whole unfolded wire-function forest into a
-    /// smaller variable order ([`walshcheck_dd::reorder::sift`]) and
-    /// re-expresses the verifier's state — unfolding, wire functions and
-    /// variable map — under the found order. Idempotent. Sifting is
-    /// deterministic, so every scheduler worker that applies it lands on
-    /// the same order and the same site list.
-    ///
-    /// Witness coordinates produced afterwards are mapped back to the
-    /// original numbering (see `restore_mask`), so callers never observe
-    /// the permutation.
-    pub(crate) fn apply_presift(&mut self) {
-        if self.presift.is_some() {
-            return;
-        }
-        let roots = self.unfolded.wire_fns.clone();
-        let sifted = walshcheck_dd::reorder::sift(&self.unfolded.bdds, &roots);
-        self.varmap = self.varmap.permuted(&sifted.order);
-        self.presift = Some(PresiftState {
-            inverse: sifted.inverse_order(),
-        });
-        self.unfolded.wire_fns = sifted.roots;
-        self.unfolded.bdds = sifted.manager;
-    }
-
-    /// Maps a witness coordinate from the verifier's current (possibly
-    /// presifted) numbering back to the netlist's original numbering.
-    fn restore_mask(&self, m: Mask) -> Mask {
-        match &self.presift {
-            None => m,
-            Some(p) => {
-                let mut out = Mask::ZERO;
-                for level in m.iter() {
-                    out.0 |= 1 << p.inverse[level].0;
-                }
-                out
-            }
-        }
     }
 
     /// The input-variable classification.
@@ -563,65 +434,7 @@ impl Verifier {
             options.node_budget,
             options.dense_cut,
         );
-        let sift_screen = self.build_sift_screen(&sites, options);
-        EnumState {
-            sites,
-            mode,
-            ctx,
-            sift_screen,
-        }
-    }
-
-    /// Builds the [`SiftMode::Auto`] screening state, or `None` when the
-    /// mode is off, a node budget is set (quarantine points depend on
-    /// diagram sizes and must not move), the forest is below the
-    /// watermark, or sifting found no meaningfully smaller order. Every
-    /// input to the decision is a pure function of `(netlist, sites,
-    /// options)`, so all workers converge on the same screen.
-    fn build_sift_screen(&self, sites: &[Site], options: &VerifyOptions) -> Option<SiftScreen> {
-        if options.sift != SiftMode::Auto || options.node_budget.is_some() {
-            return None;
-        }
-        let roots: Vec<Bdd> = sites.iter().flat_map(|s| s.funcs.iter().copied()).collect();
-        if walshcheck_dd::reorder::total_size(&self.unfolded.bdds, &roots) < AUTO_SIFT_WATERMARK {
-            return None;
-        }
-        let sifted = walshcheck_dd::reorder::sift(&self.unfolded.bdds, &roots);
-        // Screening in an equally-large permuted space is pure overhead:
-        // require at least a 10% reduction before keeping the order.
-        if sifted.after * 10 >= sifted.before * 9 {
-            return None;
-        }
-        let vm = self.varmap.permuted(&sifted.order);
-        let permute = |m: Mask| {
-            let mut out = Mask::ZERO;
-            for i in m.iter() {
-                out.0 |= 1 << sifted.order[i].0;
-            }
-            out
-        };
-        let mut moved = sifted.roots.iter().copied();
-        let local: Vec<Site> = sites
-            .iter()
-            .map(|s| Site {
-                probe: s.probe.clone(),
-                funcs: moved.by_ref().take(s.funcs.len()).collect(),
-                support: permute(s.support),
-            })
-            .collect();
-        let ctx = EngineCtx::new(
-            options.engine,
-            self.varmap.num_vars as u32,
-            effective_cache_budget(options),
-            None,
-            options.dense_cut,
-        );
-        Some(SiftScreen {
-            manager: sifted.manager,
-            sites: local,
-            vm,
-            ctx,
-        })
+        EnumState { sites, mode, ctx }
     }
 
     /// Checks one combination in a cold engine context built from
@@ -638,9 +451,6 @@ impl Verifier {
         stats: &mut CheckStats,
     ) -> ComboStep {
         let mut state = self.begin_with_sites(sites.to_vec(), property, options);
-        // Rescue attempts re-check a single combination: re-sifting the
-        // whole forest to screen one tuple would cost more than the check.
-        state.sift_screen = None;
         let step = self.check_indices(&mut state, property, false, idxs, stats);
         state.finish(stats);
         step
@@ -668,20 +478,13 @@ impl Verifier {
         let roots: Vec<Bdd> = combo.iter().flat_map(|s| s.funcs.iter().copied()).collect();
         let sifted = walshcheck_dd::reorder::sift(&self.unfolded.bdds, &roots);
         let vm = self.varmap.permuted(&sifted.order);
-        let permute = |m: Mask| {
-            let mut out = Mask::ZERO;
-            for i in m.iter() {
-                out.0 |= 1 << sifted.order[i].0;
-            }
-            out
-        };
         let mut moved = sifted.roots.iter().copied();
         let local: Vec<Site> = combo
             .iter()
             .map(|s| Site {
                 probe: s.probe.clone(),
                 funcs: moved.by_ref().take(s.funcs.len()).collect(),
-                support: permute(s.support),
+                support: s.support.permuted(&sifted.order),
             })
             .collect();
         let refs: Vec<&Site> = local.iter().collect();
@@ -714,19 +517,12 @@ impl Verifier {
         );
         ctx.fold_cache_stats(stats);
         match hit {
-            Some((mask, reason, coefficient)) => {
-                let inv = sifted.inverse_order();
-                let mut back = Mask::ZERO;
-                for level in mask.iter() {
-                    back.0 |= 1 << inv[level].0;
-                }
-                ComboStep::Violation(Witness {
-                    combination: refs.iter().map(|s| s.probe.clone()).collect(),
-                    mask: self.restore_mask(back),
-                    reason,
-                    coefficient,
-                })
-            }
+            Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
+                combination: refs.iter().map(|s| s.probe.clone()).collect(),
+                mask: mask.permuted(&sifted.inverse_order()),
+                reason,
+                coefficient,
+            }),
             None => ComboStep::Clean,
         }
     }
@@ -755,28 +551,6 @@ impl Verifier {
             }
         }
 
-        // In-sweep sifted screening: run the check in the sifted order
-        // first. Clean carries over — violation existence is invariant
-        // under variable reorder — while a violation falls through to the
-        // canonical original-order check below, so the reported witness is
-        // byte-identical to an unscreened run's.
-        if let Some(screen) = &mut state.sift_screen {
-            let s_combo: Vec<&Site> = idxs.iter().map(|&i| &screen.sites[i]).collect();
-            let s_region = region_for(property, &s_combo, s_combo.len(), internal);
-            let hit = screen.ctx.check_combination(
-                &screen.manager,
-                &screen.vm,
-                &s_combo,
-                idxs,
-                &s_region,
-                state.mode,
-                stats,
-            );
-            if hit.is_none() {
-                return ComboStep::Clean;
-            }
-        }
-
         // Pruned tuples never reach the engine, so budgeting starts here:
         // the prefilter is a sound proof, not a capacity concession.
         state.ctx.begin_tuple(&combo);
@@ -793,7 +567,7 @@ impl Verifier {
         match hit {
             Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
                 combination: combo.iter().map(|s| s.probe.clone()).collect(),
-                mask: self.restore_mask(mask),
+                mask,
                 reason,
                 coefficient,
             }),
@@ -820,9 +594,6 @@ impl Verifier {
     ) -> (CheckStats, Vec<SkippedCombination>) {
         crate::isolate::install_quiet_hook();
         let start = Instant::now();
-        if options.presift {
-            self.apply_presift();
-        }
         let mut state = self.begin_enumeration(property, options);
         let d = property.order() as usize;
         let mut stats = CheckStats::default();
@@ -896,31 +667,12 @@ pub(crate) struct EnumState {
     pub(crate) sites: Vec<Site>,
     pub(crate) mode: CheckMode,
     ctx: EngineCtx,
-    /// In-sweep sifted screening ([`SiftMode::Auto`]); `None` in every
-    /// other mode, under a node budget, or when the forest is too small to
-    /// pay for a reorder.
-    sift_screen: Option<SiftScreen>,
-}
-
-/// The sweep's sites re-expressed in a greedily sifted variable order,
-/// with a dedicated engine context ([`SiftMode::Auto`]). Combinations are
-/// checked here first; clean results carry over (violation existence is
-/// invariant under variable reorder), and violations are re-derived in the
-/// original order, so witnesses stay byte-identical to an unscreened run.
-struct SiftScreen {
-    manager: BddManager,
-    sites: Vec<Site>,
-    vm: VarMap,
-    ctx: EngineCtx,
 }
 
 impl EnumState {
     /// Bounds decision-diagram arena growth (see [`EngineCtx::maybe_collect`]).
     pub(crate) fn maybe_collect(&mut self) {
         self.ctx.maybe_collect();
-        if let Some(screen) = &mut self.sift_screen {
-            screen.ctx.maybe_collect();
-        }
     }
 
     /// Folds the engine's prefix-cache counters into `stats`. Call exactly
@@ -929,9 +681,6 @@ impl EnumState {
     /// context starts its counters at zero, so the epochs sum correctly).
     pub(crate) fn finish(&self, stats: &mut CheckStats) {
         self.ctx.fold_cache_stats(stats);
-        if let Some(screen) = &self.sift_screen {
-            screen.ctx.fold_cache_stats(stats);
-        }
     }
 }
 
@@ -1046,7 +795,7 @@ impl Verifier {
         );
         hit.map(|(mask, reason, coefficient)| Witness {
             combination: combo.iter().map(|s| s.probe.clone()).collect(),
-            mask: self.restore_mask(mask),
+            mask,
             reason,
             coefficient,
         })

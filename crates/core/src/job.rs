@@ -116,15 +116,13 @@ impl JobSpec {
                 ("budget_bytes", Json::Int(self.options.cache_budget as i64)),
             ]),
         );
-        // The speed knobs are configuration, not identity: the dense
-        // spectral kernels are exact (DESIGN.md §17) and auto-sift
-        // screening re-derives every violation in the original order, so
-        // neither can change a result.
+        // The dense-kernel cut is configuration, not identity: the dense
+        // spectral kernels are exact (DESIGN.md §17), so it cannot change a
+        // result.
         obj.insert(
             "dense_cut".into(),
             Json::Int(i64::from(self.options.dense_cut)),
         );
-        obj.insert("sift".into(), Json::str(self.options.sift.as_str()));
         // The daemon deadline is likewise a robustness knob: interrupted
         // attempts resume byte-identically, so the deadline never changes
         // what the job computes — only how patiently the daemon waits.
@@ -175,9 +173,9 @@ impl JobSpec {
         );
         map.insert("prefilter".into(), Json::Bool(o.prefilter));
         map.insert("largest_first".into(), Json::Bool(o.largest_first));
-        // Pre-sifting changes which combinations fit a node budget, so it
-        // is identity-relevant (unlike the verdict-neutral speed knobs).
-        map.insert("presift".into(), Json::Bool(o.presift));
+        // Job ids and report/5 artifacts stored by earlier releases hash
+        // this key, so it stays, pinned to `false`.
+        map.insert("presift".into(), Json::Bool(false));
         map.insert(
             "time_limit_ms".into(),
             match o.time_limit {
@@ -211,13 +209,13 @@ impl JobSpec {
     /// Reconstructs a spec from the JSON form of [`JobSpec::to_json`].
     /// `property` is required; every other field defaults like
     /// [`JobSpec::new`] when absent, so sparse submissions work. Unknown
-    /// keys are ignored, among them the retired `"backend"` key that specs
-    /// stored by walshcheck 0.3.0 daemons carry.
+    /// keys are ignored, among them the retired `"backend"` and `"sift"`
+    /// keys that specs stored by earlier 0.3 daemons carry.
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] when `property` is missing or any present field
-    /// has an unknown value.
+    /// [`Error::Config`] when `property` is missing, any present field
+    /// has an unknown value, or the retired `"presift"` key is `true`.
     pub fn parse(doc: &Json) -> Result<JobSpec, Error> {
         let bad = |what: &str| Error::Config(format!("job spec: {what}"));
         let property = doc.get("property").ok_or_else(|| bad("missing property"))?;
@@ -270,19 +268,17 @@ impl JobSpec {
         if let Some(v) = doc.get("largest_first") {
             o.largest_first = v.as_bool().ok_or_else(|| bad("largest_first"))?;
         }
+        // A stored `"presift": true` names a job that can no longer run.
         if let Some(v) = doc.get("presift") {
-            o.presift = v.as_bool().ok_or_else(|| bad("presift"))?;
+            if v.as_bool().ok_or_else(|| bad("presift"))? {
+                return Err(bad("presift is no longer supported"));
+            }
         }
         if let Some(v) = doc.get("dense_cut") {
             o.dense_cut = v
                 .as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| bad("dense_cut"))?;
-        }
-        if let Some(v) = doc.get("sift") {
-            let name = v.as_str().ok_or_else(|| bad("sift must be a string"))?;
-            o.sift = crate::engine::SiftMode::parse(name)
-                .ok_or_else(|| bad(&format!("unknown sift mode {name:?}")))?;
         }
         match doc.get("time_limit_ms") {
             None | Some(Json::Null) => {}
@@ -579,37 +575,63 @@ mod tests {
     }
 
     #[test]
-    fn identity_ignores_backend_but_not_presift() {
-        // Stores written before the DD backend knob was removed hold
-        // `spec.json` files with a `"backend"` key: they must still parse,
-        // keep their job identity, and lose the key when written again.
+    fn retired_keys_parse_and_keep_the_identity() {
+        // Stores written before the DD backend and sifting knobs were
+        // removed hold `spec.json` files with `"backend"`, `"sift"` and
+        // `"presift": false` keys: they must still parse, keep their job
+        // identity, and be written back without the two knob keys.
         let a = spec();
         let current = a.to_json().to_canonical();
-        assert!(
-            a.to_json().get("backend").is_none(),
-            "to_json no longer writes a backend"
-        );
-        for name in ["private", "shared"] {
+        for key in ["backend", "sift"] {
+            assert!(a.to_json().get(key).is_none(), "to_json writes no {key}");
+        }
+        let retired = [
+            ("backend", Json::str("private")),
+            ("backend", Json::str("shared")),
+            ("sift", Json::str("auto")),
+            ("sift", Json::str("rescue")),
+            ("sift", Json::str("off")),
+            ("presift", Json::Bool(false)),
+        ];
+        for (key, value) in retired {
             let Json::Obj(mut old) = a.to_json() else {
                 unreachable!("to_json builds an object")
             };
-            old.insert("backend".into(), Json::str(name));
+            old.insert(key.into(), value.clone());
             let text = Json::Obj(old).to_canonical();
             let back = JobSpec::parse(&json::parse(&text).expect("valid"))
-                .unwrap_or_else(|e| panic!("\"backend\":\"{name}\" must still parse: {e}"));
+                .unwrap_or_else(|e| panic!("{key}={value:?} must still parse: {e}"));
             assert_eq!(
                 back.identity_hash(),
                 a.identity_hash(),
-                "\"backend\":\"{name}\" must not change the job identity"
+                "{key}={value:?} must not change the job identity"
             );
             assert_eq!(back.to_json().to_canonical(), current);
         }
-        let mut c = spec();
-        c.options.presift = true;
-        assert_ne!(
-            a.identity_hash(),
-            c.identity_hash(),
-            "presift changes quarantine lists, so it is identity-relevant"
+        assert!(
+            a.identity_json()
+                .to_canonical()
+                .contains("\"presift\":false"),
+            "every stored job id hashes the constant presift key"
+        );
+    }
+
+    #[test]
+    fn identities_are_pinned() {
+        // Job ids, report/5 artifacts and checkpoints written by earlier
+        // releases must keep naming the same runs.
+        use walshcheck_gadgets::suite::Benchmark;
+        assert_eq!(
+            JobSpec::new(Property::Sni(1)).identity_hash(),
+            "a805925ca75467eb387037819cb44fe0e93ba13a5897ac06b4d10a3ca41897f5"
+        );
+        assert_eq!(
+            checkpoint::fingerprint(
+                &Benchmark::Dom(1).netlist(),
+                Property::Sni(1),
+                &VerifyOptions::default()
+            ),
+            "cf942171aef25895"
         );
     }
 
@@ -633,6 +655,7 @@ mod tests {
             r#"{"property":{"kind":"sni","order":1},"engine":"cudd"}"#,
             r#"{"property":{"kind":"sni","order":1},"mode":7}"#,
             r#"{"property":{"kind":"sni","order":1},"sites":{"probe_model":"x"}}"#,
+            r#"{"property":{"kind":"sni","order":1},"presift":true}"#,
         ] {
             let doc = json::parse(bad).expect("valid json");
             assert!(JobSpec::parse(&doc).is_err(), "{bad} must be rejected");

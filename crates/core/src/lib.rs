@@ -71,7 +71,7 @@ pub mod tmatrix;
 pub mod uniformity;
 
 pub use checkpoint::CheckpointConfig;
-pub use engine::{EngineKind, SiftMode, Verifier, VerifyOptions, VerifyOptionsBuilder};
+pub use engine::{EngineKind, Verifier, VerifyOptions, VerifyOptionsBuilder};
 pub use error::Error;
 pub use iofs::{IoFs, RealFs, TracingFs};
 pub use job::{netlist_sha256, Job, JobSpec};

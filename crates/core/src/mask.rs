@@ -46,6 +46,12 @@ impl Mask {
         self.0 & !other.0 == 0
     }
 
+    /// Moves every selected position `i` to `order[i]` (a variable
+    /// permutation, as produced by [`walshcheck_dd::reorder::sift`]).
+    pub fn permuted(self, order: &[VarId]) -> Mask {
+        Mask(self.iter().fold(0, |acc, i| acc | 1 << order[i].0))
+    }
+
     /// Iterates the selected variable positions in increasing order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
@@ -222,24 +228,21 @@ impl VarMap {
             order.len() >= self.num_vars,
             "permutation must cover all input variables"
         );
-        let remap = |m: Mask| {
-            let mut out = Mask::ZERO;
-            for i in m.iter() {
-                out.0 |= 1 << order[i].0;
-            }
-            out
-        };
         let mut share_of = vec![None; self.num_vars];
         for (i, &s) in self.share_of.iter().enumerate() {
             share_of[order[i].0 as usize] = s;
         }
         VarMap {
             num_vars: self.num_vars,
-            share_groups: self.share_groups.iter().map(|&g| remap(g)).collect(),
+            share_groups: self
+                .share_groups
+                .iter()
+                .map(|g| g.permuted(order))
+                .collect(),
             share_of,
-            randoms: remap(self.randoms),
-            publics: remap(self.publics),
-            all_shares: remap(self.all_shares),
+            randoms: self.randoms.permuted(order),
+            publics: self.publics.permuted(order),
+            all_shares: self.all_shares.permuted(order),
         }
     }
 }

@@ -13,7 +13,8 @@
 //!    sifted variable order ([`walshcheck_dd::reorder::sift`]) and retry at
 //!    the budget cap. Reordering attacks the *cause* of a blow-up (a bad
 //!    order can be exponentially larger), so it comes before switching
-//!    algorithms.
+//!    algorithms. This rung is the only place walshcheck reorders
+//!    variables, and it always runs: there is no knob to skip it.
 //! 3. **Engine fallback** — retry with the remaining engines in MAPI → MAP →
 //!    LIL order, trading memory for time (LIL streams rows and keeps almost
 //!    nothing resident).
@@ -34,7 +35,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::engine::{ComboStep, EngineKind, SiftMode, Verifier, VerifyOptions};
+use crate::engine::{ComboStep, EngineKind, Verifier, VerifyOptions};
 use crate::observe::ProgressObserver;
 use crate::property::{CheckStats, IncompleteReason, ProbeRef, Property};
 use crate::sites::Site;
@@ -215,12 +216,11 @@ pub struct RecoveryReport {
     pub combinations: Vec<RescuedCombination>,
 }
 
-/// One planned attempt: rung, engine, budget, and whether to sift first.
+/// One planned attempt: rung, engine and budget.
 struct AttemptPlan {
     rung: RescueRung,
     engine: EngineKind,
     node_budget: Option<usize>,
-    sift: bool,
 }
 
 /// Builds the deterministic attempt ladder for the given options. The plan
@@ -240,7 +240,6 @@ fn ladder(options: &VerifyOptions, config: &RescueConfig) -> Vec<AttemptPlan> {
                     rung: RescueRung::Budget,
                     engine: options.engine,
                     node_budget: Some(budget),
-                    sift: false,
                 });
                 if budget >= cap {
                     break;
@@ -255,23 +254,17 @@ fn ladder(options: &VerifyOptions, config: &RescueConfig) -> Vec<AttemptPlan> {
                     rung: RescueRung::Budget,
                     engine: options.engine,
                     node_budget: None,
-                    sift: false,
                 });
             }
         }
     }
     // Rung 2: sifted variable order at the cap. Reordering attacks the
     // size blow-up itself, so it precedes changing the algorithm.
-    // `--sift off` removes the rung (the ladder stays deterministic: the
-    // plan is still a pure function of the options).
-    if options.sift != SiftMode::Off {
-        plans.push(AttemptPlan {
-            rung: RescueRung::Sift,
-            engine: options.engine,
-            node_budget: Some(cap),
-            sift: true,
-        });
-    }
+    plans.push(AttemptPlan {
+        rung: RescueRung::Sift,
+        engine: options.engine,
+        node_budget: Some(cap),
+    });
     // Rung 3: engine fallback, memory-hungry to memory-lean.
     for engine in [EngineKind::Mapi, EngineKind::Map, EngineKind::Lil] {
         if engine != options.engine {
@@ -279,7 +272,6 @@ fn ladder(options: &VerifyOptions, config: &RescueConfig) -> Vec<AttemptPlan> {
                 rung: RescueRung::EngineFallback,
                 engine,
                 node_budget: Some(cap),
-                sift: false,
             });
         }
     }
@@ -306,7 +298,7 @@ fn run_attempt(
     let mut stats = CheckStats::default();
     let result = catch_unwind(AssertUnwindSafe(|| {
         crate::fault::maybe_inject_rescue(index);
-        if plan.sift {
+        if plan.rung == RescueRung::Sift {
             verifier.check_sifted(property, &opts, sites, idxs, &mut stats)
         } else {
             verifier.check_fresh(property, &opts, sites, idxs, &mut stats)
@@ -394,27 +386,17 @@ mod tests {
         let cap = config.node_cap();
         let shape: Vec<_> = plans
             .iter()
-            .map(|p| (p.rung, p.engine, p.node_budget, p.sift))
+            .map(|p| (p.rung, p.engine, p.node_budget))
             .collect();
         assert_eq!(
             shape,
             vec![
-                (RescueRung::Budget, EngineKind::Mapi, Some(2), false),
-                (RescueRung::Budget, EngineKind::Mapi, Some(4), false),
-                (RescueRung::Budget, EngineKind::Mapi, Some(8), false),
-                (RescueRung::Sift, EngineKind::Mapi, Some(cap), true),
-                (
-                    RescueRung::EngineFallback,
-                    EngineKind::Map,
-                    Some(cap),
-                    false
-                ),
-                (
-                    RescueRung::EngineFallback,
-                    EngineKind::Lil,
-                    Some(cap),
-                    false
-                ),
+                (RescueRung::Budget, EngineKind::Mapi, Some(2)),
+                (RescueRung::Budget, EngineKind::Mapi, Some(4)),
+                (RescueRung::Budget, EngineKind::Mapi, Some(8)),
+                (RescueRung::Sift, EngineKind::Mapi, Some(cap)),
+                (RescueRung::EngineFallback, EngineKind::Map, Some(cap)),
+                (RescueRung::EngineFallback, EngineKind::Lil, Some(cap)),
             ]
         );
     }

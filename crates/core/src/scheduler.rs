@@ -444,9 +444,6 @@ pub(crate) fn run(
     let start = Instant::now();
     let threads = threads.max(1);
 
-    if options.presift {
-        verifier.apply_presift();
-    }
     let t = Instant::now();
     let mut state0 = verifier.begin_enumeration(property, options);
     let extract_time = t.elapsed();
@@ -532,12 +529,7 @@ pub(crate) fn run(
                 scope.spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| {
                         crate::fault::maybe_lose_worker(wid);
-                        let mut worker = Verifier::new(netlist).expect("validated in Session::new");
-                        if options.presift {
-                            // Sifting is deterministic, so every worker lands
-                            // on the same order (and site list) as worker 0.
-                            worker.apply_presift();
-                        }
+                        let worker = Verifier::new(netlist).expect("validated in Session::new");
                         let mut state = worker.begin_enumeration(property, options);
                         debug_assert_eq!(state.sites.len(), n, "site extraction is deterministic");
                         worker_loop(

@@ -38,7 +38,7 @@ use std::time::Duration;
 use walshcheck_circuit::glitch::ProbeModel;
 use walshcheck_circuit::netlist::Netlist;
 
-use crate::engine::{EngineKind, SiftMode, Verifier, VerifyOptions};
+use crate::engine::{EngineKind, Verifier, VerifyOptions};
 use crate::error::Error;
 use crate::job::{Job, JobSpec};
 use crate::observe::ProgressObserver;
@@ -155,18 +155,6 @@ impl Session {
         self
     }
 
-    /// Pre-sifting on/off (off by default). When on, greedy variable
-    /// sifting runs once on the unfolded circuit before enumeration, so
-    /// every combination is checked under the improved order. Witness masks
-    /// are always reported in the original input numbering. Changes which
-    /// combinations fit a [`Session::node_budget`], so it participates in
-    /// the job identity.
-    #[must_use]
-    pub fn presift(mut self, on: bool) -> Self {
-        self.job.spec_mut().options.presift = on;
-        self
-    }
-
     /// Support width at or below which the spectral kernels (map
     /// convolution, sparse Walsh transforms, the ADD WHT) drop to a flat
     /// integer butterfly (`0` disables; default
@@ -176,18 +164,6 @@ impl Session {
     #[must_use]
     pub fn dense_cut(mut self, cut: u32) -> Self {
         self.job.spec_mut().options.dense_cut = cut;
-        self
-    }
-
-    /// Where greedy variable sifting may run (default
-    /// [`SiftMode::Rescue`]): `Off` removes the rescue ladder's sift rung,
-    /// `Auto` additionally screens sweep combinations in a sifted order
-    /// when the circuit is large enough to pay for the reorder, re-deriving
-    /// any violation in the original order. All three modes produce
-    /// byte-identical artifacts; the knob is excluded from job identity.
-    #[must_use]
-    pub fn sift(mut self, mode: SiftMode) -> Self {
-        self.job.spec_mut().options.sift = mode;
         self
     }
 

@@ -15,10 +15,9 @@
 //! The explorer is exhaustive where kill-based chaos tests are sampled:
 //! a signal lands wherever the scheduler put it, but a schedule prefix is
 //! *every* point, three adversarial cache behaviors each. It runs in
-//! `tests/crash_matrix.rs` (and CI's `crash-matrix` job); the
-//! `crash_explore` binary in `walshcheck-bench` drives the same API for
-//! ad-hoc investigation. The `crash-at-io-op=N` fault directive
-//! cross-checks sampled points against a *really* aborted child process.
+//! `tests/crash_matrix.rs` (and CI's `crash-matrix` job). The
+//! `crash-at-io-op=N` fault directive cross-checks sampled points against
+//! a *really* aborted child process.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

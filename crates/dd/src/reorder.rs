@@ -116,9 +116,8 @@ impl SiftResult {
 }
 
 /// Distinct arena nodes over the union of all `roots` — the objective
-/// [`sift`] minimizes, exposed so callers can gate a reorder on forest
-/// size before paying for one.
-pub fn total_size(m: &BddManager, roots: &[Bdd]) -> usize {
+/// [`sift`] minimizes.
+fn total_size(m: &BddManager, roots: &[Bdd]) -> usize {
     // Distinct arena nodes over the union of all roots. Handles are
     // normalized to their regular (complement-stripped) form so a function
     // and its negation — which share every node — are counted once: the

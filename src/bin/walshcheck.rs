@@ -31,22 +31,12 @@
 //!   --cache-budget BYTES             per-worker prefix-cache budget
 //!   --node-budget NODES              per-combination decision-diagram cap;
 //!                                    over-budget combinations are quarantined
-//!   --presift                        sift BDD variable order once before
-//!                                    enumeration (witnesses still reported in
-//!                                    the original input numbering)
 //!   --dense-cut N                    spectral functions with support ≤ N take
 //!                                    a flat array-butterfly WHT instead of
 //!                                    the node-wise recursion (default 12; 0
 //!                                    disables the dense fallback). A pure
 //!                                    speed knob: reports are byte-identical
 //!                                    at any cut
-//!   --sift auto|rescue|off           where greedy variable sifting may run:
-//!                                    `rescue` (default) only as a rescue
-//!                                    rung, `auto` additionally as an
-//!                                    in-sweep screening pass on large
-//!                                    forests, `off` never. A pure speed
-//!                                    knob: reports are byte-identical in
-//!                                    every mode
 //!   --rescue                         re-verify quarantined combinations after
 //!                                    the sweep through an escalation ladder
 //!                                    (doubled budgets, BDD sifting, engine
@@ -180,9 +170,7 @@ struct Cli {
     cache: bool,
     cache_budget: Option<usize>,
     node_budget: Option<usize>,
-    presift: bool,
     dense_cut: Option<u32>,
-    sift: Option<SiftMode>,
     rescue: bool,
     rescue_attempts: Option<u32>,
     rescue_budget: Option<usize>,
@@ -207,9 +195,7 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
         cache: true,
         cache_budget: None,
         node_budget: None,
-        presift: false,
         dense_cut: None,
-        sift: None,
         rescue: false,
         rescue_attempts: None,
         rescue_budget: None,
@@ -273,21 +259,12 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
                         .map_err(|_| bad("--node-budget"))?,
                 )
             }
-            "--presift" => cli.presift = true,
             "--dense-cut" => {
                 cli.dense_cut = Some(
                     value("--dense-cut")?
                         .parse()
                         .map_err(|_| bad("--dense-cut"))?,
                 )
-            }
-            "--sift" => {
-                let name = value("--sift")?.to_lowercase();
-                cli.sift = Some(SiftMode::parse(&name).ok_or_else(|| {
-                    Error::Config(format!(
-                        "unknown sift mode `{name}` (expected auto, rescue or off)"
-                    ))
-                })?);
             }
             "--rescue" => cli.rescue = true,
             "--no-rescue" => cli.rescue = false,
@@ -468,14 +445,8 @@ fn spec_from_cli(netlist: &Netlist, cli: &Cli) -> Result<JobSpec, Error> {
     if let Some(nodes) = cli.node_budget {
         builder = builder.node_budget(nodes);
     }
-    if cli.presift {
-        builder = builder.presift(true);
-    }
     if let Some(cut) = cli.dense_cut {
         builder = builder.dense_cut(cut);
-    }
-    if let Some(mode) = cli.sift {
-        builder = builder.sift(mode);
     }
     let mut spec = JobSpec::new(property);
     spec.options = builder.build();
@@ -1118,10 +1089,9 @@ fn main() -> ExitCode {
                  \x20        --engine lil|map|mapi|fujita    --mode rowwise|joint\n\
                  \x20        --glitch  --threads N  --time-limit SECS  --no-prefilter\n\
                  \x20        --no-cache  --cache-budget BYTES  --node-budget NODES\n\
-                 \x20        --presift  --dense-cut N  --sift auto|rescue|off\n\
                  \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
                  \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
-                 \x20        --minimize  --progress  --json\n\n\
+                 \x20        --dense-cut N  --minimize  --progress  --json\n\n\
                  exit codes: 0 secure, 1 violated, 2 inconclusive, 3 usage/io error,\n\
                  \x20           4 interrupted by signal (resume with --resume)"
             );

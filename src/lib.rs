@@ -48,9 +48,7 @@ pub mod prelude {
     pub use walshcheck_circuit::ilang::{parse_ilang, write_ilang};
     pub use walshcheck_circuit::netlist::Netlist;
     pub use walshcheck_core::checkpoint::CheckpointConfig;
-    pub use walshcheck_core::engine::{
-        EngineKind, SiftMode, Verifier, VerifyOptions, VerifyOptionsBuilder,
-    };
+    pub use walshcheck_core::engine::{EngineKind, Verifier, VerifyOptions, VerifyOptionsBuilder};
     pub use walshcheck_core::error::Error;
     pub use walshcheck_core::job::{netlist_sha256, Job, JobSpec};
     pub use walshcheck_core::observe::{

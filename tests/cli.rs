@@ -99,6 +99,16 @@ fn errors_are_reported_cleanly() {
     assert!(stderr.contains("unknown engine"), "{stderr}");
     let (_, _, code) = walshcheck(&["frobnicate"]);
     assert_eq!(code, Some(3));
+    // Sifting runs only on the rescue ladder; its old flags are gone.
+    for line in [
+        "check bench:dom-1 --presift",
+        "check bench:dom-1 --sift auto",
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let (_, stderr, code) = walshcheck(&args);
+        assert_eq!(code, Some(3), "{line}");
+        assert!(stderr.contains("unknown option"), "{line}: {stderr}");
+    }
 }
 
 #[test]

@@ -294,6 +294,66 @@ fn starved_violation_keeps_the_identical_witness() {
     }
 }
 
+/// The sift rung — the only place variables are reordered — resolves what
+/// the budget rung cannot. Under FUJITA with a 1-node budget, one doubling
+/// attempt and a 32-node rescue cap (1,024 bytes), every quarantine fails
+/// at budget 2 and is settled by sifting at the cap: clean on dom-1, a
+/// violation on ti-1. The outcome and witness equal the unconstrained
+/// run's, and the recovery block is the same at 1 and 4 threads.
+#[test]
+fn sift_rung_resolves_what_the_budget_rung_cannot() {
+    for (name, resolved) in [
+        ("dom-1", RescueAttemptOutcome::Clean),
+        ("ti-1", RescueAttemptOutcome::Violated),
+    ] {
+        let netlist = bench(name);
+        let baseline = Session::new(&netlist)
+            .expect("valid netlist")
+            .property(Property::Sni(1))
+            .engine(EngineKind::Fujita)
+            .run();
+        let ladder = [
+            RescueAttempt {
+                rung: RescueRung::Budget,
+                engine: EngineKind::Fujita,
+                node_budget: Some(2),
+                outcome: RescueAttemptOutcome::NodeBudget,
+            },
+            RescueAttempt {
+                rung: RescueRung::Sift,
+                engine: EngineKind::Fujita,
+                node_budget: Some(32),
+                outcome: resolved,
+            },
+        ];
+        let mut reports = Vec::new();
+        for threads in [1usize, 4] {
+            let verdict = Session::new(&netlist)
+                .expect("valid netlist")
+                .property(Property::Sni(1))
+                .engine(EngineKind::Fujita)
+                .threads(threads)
+                .node_budget(1)
+                .rescue(true)
+                .rescue_attempts(1)
+                .rescue_budget(1024)
+                .run();
+            assert_eq!(verdict.outcome, baseline.outcome, "{name}/{threads}t");
+            assert_eq!(verdict.witness, baseline.witness, "{name}/{threads}t");
+            let recovery = verdict.recovery.expect("rescue ran");
+            assert!(!recovery.combinations.is_empty(), "{name}/{threads}t");
+            for c in &recovery.combinations {
+                assert_eq!(c.attempts, ladder, "{name}/{threads}t: index {}", c.index);
+            }
+            reports.push(recovery);
+        }
+        assert_eq!(
+            reports[0], reports[1],
+            "{name}: the recovery report must not depend on the thread count"
+        );
+    }
+}
+
 /// With rescue disabled the quarantines stay: the pre-rescue behavior —
 /// `Inconclusive(NodeBudget)`, populated skip list — is preserved, and no
 /// recovery block is attached.

@@ -298,24 +298,21 @@ fn report_artifacts_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn report_artifacts_are_byte_identical_across_speed_knobs() {
-    // The speed knobs — the dense spectral kernel (`dense_cut`), the
-    // in-sweep sifted screen (`SiftMode::Auto`) and the bounded spectral
-    // memos — are pure time/memory trades like the prefix cache before
-    // them. The full matrix (every engine × dense kernel on/off × sift
-    // auto/rescue/off × 1/8 workers) must produce byte-identical report/5
-    // artifacts, which is why `JobSpec::identity_json` excludes both
-    // knobs.
+    // The speed knobs — the dense spectral kernel (`dense_cut`) and the
+    // bounded spectral memos — are pure time/memory trades like the prefix
+    // cache before them. The full matrix (every engine × dense kernel
+    // on/off × 1/8 workers) must produce byte-identical report/5
+    // artifacts, which is why `JobSpec::identity_json` excludes the cut.
     for (label, n, prop) in [
         ("dom-1", Benchmark::Dom(1).netlist(), Property::Sni(1)),
         ("ti-1", Benchmark::Ti1.netlist(), Property::Sni(1)),
         ("isw-2-broken", isw_and_broken(2), Property::Sni(2)),
     ] {
         for engine in engines() {
-            let artifact = |dense_cut: u32, sift: SiftMode, threads: usize| {
+            let artifact = |dense_cut: u32, threads: usize| {
                 let mut spec = JobSpec::new(prop);
                 spec.options.engine = engine;
                 spec.options.dense_cut = dense_cut;
-                spec.options.sift = sift;
                 spec.threads = threads;
                 let mut job = Job::new(&n, spec).expect("valid");
                 let verdict = job.run();
@@ -325,23 +322,20 @@ fn report_artifacts_are_byte_identical_across_speed_knobs() {
                     report.hash().to_string(),
                 )
             };
-            let (base_bytes, base_hash) =
-                artifact(VerifyOptions::default().dense_cut, SiftMode::Rescue, 1);
+            let (base_bytes, base_hash) = artifact(VerifyOptions::default().dense_cut, 1);
             for dense_cut in [12u32, 0] {
-                for sift in [SiftMode::Auto, SiftMode::Rescue, SiftMode::Off] {
-                    for threads in [1usize, 8] {
-                        let (bytes, hash) = artifact(dense_cut, sift, threads);
-                        assert_eq!(
-                            base_bytes, bytes,
-                            "{label} {engine}: artifact bytes differ at dense_cut={dense_cut} \
-                             sift={sift} t{threads}"
-                        );
-                        assert_eq!(
-                            base_hash, hash,
-                            "{label} {engine}: artifact hash differs at dense_cut={dense_cut} \
-                             sift={sift} t{threads}"
-                        );
-                    }
+                for threads in [1usize, 8] {
+                    let (bytes, hash) = artifact(dense_cut, threads);
+                    assert_eq!(
+                        base_bytes, bytes,
+                        "{label} {engine}: artifact bytes differ at dense_cut={dense_cut} \
+                         t{threads}"
+                    );
+                    assert_eq!(
+                        base_hash, hash,
+                        "{label} {engine}: artifact hash differs at dense_cut={dense_cut} \
+                         t{threads}"
+                    );
                 }
             }
         }
