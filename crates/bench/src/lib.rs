@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use std::fmt::Write as _;
 
-use walshcheck_core::engine::{EngineKind, VerifyOptions};
+use walshcheck_core::engine::{EngineKind, VerifyOptions, DEFAULT_CACHE_BUDGET};
 use walshcheck_core::exhaustive::exhaustive_check;
 use walshcheck_core::heuristic::heuristic_check;
 use walshcheck_core::json::Json;
@@ -218,12 +218,12 @@ pub fn compare_cache_modes(bench: Benchmark, threads: usize, samples: usize) -> 
         .mode(walshcheck_core::CheckMode::RowWise)
         .prefilter(false)
         .build();
-    let run = |cache: bool| {
+    let run = |cache_budget: usize| {
         let mut session = Session::new(&netlist)
             .expect("benchmark netlists are valid")
             .property(property)
             .options(options.clone())
-            .cache(cache)
+            .cache_budget(cache_budget)
             .threads(threads);
         let start = Instant::now();
         let verdict = session.run();
@@ -233,9 +233,9 @@ pub fn compare_cache_modes(bench: Benchmark, threads: usize, samples: usize) -> 
     let mut uncached_s = Vec::new();
     let mut stats = (0, 0);
     for _ in 0..samples.max(1) {
-        let (t_on, on) = run(true);
+        let (t_on, on) = run(DEFAULT_CACHE_BUDGET);
         cached_s.push(t_on);
-        let (t_off, off) = run(false);
+        let (t_off, off) = run(0);
         uncached_s.push(t_off);
         assert_eq!(on.secure, off.secure, "{bench}: cache changes the verdict");
         assert_eq!(

@@ -1,10 +1,12 @@
 //! The exact spectral verifier and its four engine backends.
 //!
-//! [`Verifier::check`] enumerates all combinations of up to `d` observations
-//! (output shares and internal probes), computes the Walsh correlation rows
-//! of each combination, and tests them against the property's forbidden
-//! region. The four [`EngineKind`] backends reproduce the implementation
-//! alternatives compared in the paper's evaluation:
+//! A run enumerates all combinations of up to `d` observations (output
+//! shares and internal probes), computes the Walsh correlation rows of each
+//! combination, and tests them against the property's forbidden region. A
+//! row is a product of one factor per observed function, so one row
+//! pipeline serves all engines; the four [`EngineKind`] backends differ in
+//! the factor and the test, reproducing the implementation alternatives
+//! compared in the paper's evaluation:
 //!
 //! | engine  | convolution        | verification                     |
 //! |---------|--------------------|----------------------------------|
@@ -18,6 +20,7 @@
 //! and an optional functional-support prefilter (a cheap necessary
 //! condition), both switchable for the ablation benchmarks.
 
+use std::borrow::Borrow;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::time::Instant;
@@ -34,7 +37,7 @@ use walshcheck_dd::FastMap;
 
 use crate::mask::{Mask, VarMap};
 use crate::pcache::PrefixCache;
-use crate::property::{CheckMode, CheckStats, Property, SkippedCombination, Verdict, Witness};
+use crate::property::{CheckMode, CheckStats, Property, SkippedCombination, Witness};
 use crate::sites::{extract_sites, Site, SiteOptions};
 use crate::spectrum::{LilSpectrum, MapSpectrum, Spectrum};
 use crate::tmatrix::Region;
@@ -121,16 +124,17 @@ pub struct VerifyOptions {
     /// Optional per-combination decision-diagram node budget. A combination
     /// whose estimated row count exceeds the budget, or that grows the ADD /
     /// T-matrix arenas by more than `node_budget` nodes, is quarantined
-    /// (recorded in [`Verdict::skipped`]) instead of blowing up memory, and
-    /// the outcome degrades to
+    /// (recorded in [`Verdict::skipped`](crate::Verdict::skipped)) instead of
+    /// blowing up memory, and the outcome degrades to
     /// [`Outcome::Inconclusive`](crate::Outcome::Inconclusive).
     pub node_budget: Option<usize>,
-    /// Reuse partial convolution products across tuples that share an
-    /// enumeration prefix (see DESIGN.md §9). Purely a time/memory trade:
-    /// verdicts and witnesses are identical either way.
-    pub cache: bool,
-    /// Byte budget of each worker's prefix cache (least-recently-used
-    /// eviction above it). `0` disables caching like `cache = false`.
+    /// Byte budget of each worker's prefix cache, which reuses partial
+    /// convolution products across tuples that share an enumeration prefix
+    /// (least-recently-used eviction above it; see DESIGN.md §9). The same
+    /// budget separately bounds the running engine's spectral memo and
+    /// sizes FUJITA's ADD apply caches. `0` disables prefix caching and
+    /// leaves the memo unbounded. Purely a time/memory trade: verdicts and
+    /// witnesses are identical at any budget.
     pub cache_budget: usize,
     /// Support width at or below which spectral kernels (map convolution,
     /// sparse Walsh transforms, the ADD WHT) drop to a flat integer
@@ -161,7 +165,6 @@ impl Default for VerifyOptions {
             largest_first: true,
             time_limit: None,
             node_budget: None,
-            cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
             dense_cut: DEFAULT_DENSE_CUT,
         }
@@ -187,7 +190,6 @@ impl VerifyOptions {
             largest_first: true,
             time_limit: None,
             node_budget: None,
-            cache: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
             dense_cut: DEFAULT_DENSE_CUT,
         }
@@ -286,13 +288,8 @@ impl VerifyOptionsBuilder {
         self
     }
 
-    /// Prefix-shared convolution caching on/off.
-    pub fn cache(mut self, on: bool) -> Self {
-        self.options.cache = on;
-        self
-    }
-
-    /// Byte budget of each worker's prefix cache.
+    /// Byte budget of each worker's prefix cache (see
+    /// [`VerifyOptions::cache_budget`]; `0` disables prefix caching).
     pub fn cache_budget(mut self, bytes: usize) -> Self {
         self.options.cache_budget = bytes;
         self
@@ -350,17 +347,6 @@ impl Verifier {
         &self.unfolded
     }
 
-    /// Checks `property` with the default options (MAPI engine, joint mode).
-    pub fn check_default(&mut self, property: Property) -> Verdict {
-        let mut witness: Option<Witness> = None;
-        let (stats, skipped) =
-            self.run_enumeration(property, &VerifyOptions::default(), &mut |w| {
-                witness = Some(w);
-                ControlFlow::Break(())
-            });
-        Verdict::conclude(property, witness, skipped, stats)
-    }
-
     /// Enumerates violating combinations until `limit` witnesses are found
     /// (or the space is exhausted). Unlike a verdict run, the search
     /// continues past the first violation — useful for leakage diagnosis.
@@ -377,22 +363,74 @@ impl Verifier {
     /// quarantined combinations and the stats (whose `timed_out` flag is the
     /// only way to tell "no more leaks" apart from "ran out of time"). The
     /// enumeration honors `options.time_limit` and `options.node_budget`
-    /// exactly like a `check` run.
+    /// exactly like a `check` run, and walks combinations in the
+    /// scheduler's global order, so quarantine indices agree with a sweep's.
     pub(crate) fn find_witnesses_full(
         &mut self,
         property: Property,
         options: &VerifyOptions,
         limit: usize,
     ) -> (Vec<Witness>, Vec<SkippedCombination>, CheckStats) {
+        crate::isolate::install_quiet_hook();
+        let start = Instant::now();
+        let mut state = self.begin_enumeration(property, options);
+        let mut stats = CheckStats::default();
         let mut found = Vec::new();
-        let (stats, skipped) = self.run_enumeration(property, options, &mut |w| {
-            found.push(w);
-            if found.len() >= limit {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
+        let mut skipped = Vec::new();
+
+        let n = state.sites.len();
+        let max_k = (property.order() as usize).min(n);
+        let sizes: Vec<usize> = if options.largest_first {
+            (1..=max_k).rev().collect()
+        } else {
+            (1..=max_k).collect()
+        };
+        let mut index: u64 = 0;
+        'sizes: for k in sizes {
+            let mut idxs: Vec<usize> = (0..k).collect();
+            loop {
+                stats.combinations += 1;
+                if stats.combinations % 256 == 1 {
+                    if crate::shutdown::requested() {
+                        stats.interrupted = true;
+                        break 'sizes;
+                    }
+                    state.maybe_collect();
+                }
+                // The wall-clock budget is checked on every combination (a
+                // clock read is negligible next to any convolution).
+                if let Some(limit) = options.time_limit {
+                    if start.elapsed() > limit {
+                        stats.timed_out = true;
+                        break 'sizes;
+                    }
+                }
+                match crate::isolate::check_isolated(
+                    self, &mut state, property, options, index, &idxs, &mut stats,
+                ) {
+                    Ok(ComboStep::Clean | ComboStep::Pruned) => {}
+                    Ok(ComboStep::Violation(w)) => {
+                        found.push(w);
+                        if found.len() >= limit {
+                            break 'sizes;
+                        }
+                    }
+                    Err(reason) => skipped.push(SkippedCombination {
+                        index,
+                        combination: idxs.iter().map(|&i| state.sites[i].probe.clone()).collect(),
+                        reason,
+                    }),
+                }
+                index += 1;
+                if !crate::scheduler::next_combination(&mut idxs, n) {
+                    break;
+                }
             }
-        });
+        }
+
+        state.finish(&mut stats);
+        self.end_enumeration();
+        stats.total_time = start.elapsed();
         (found, skipped, stats)
     }
 
@@ -430,7 +468,7 @@ impl Verifier {
         let ctx = EngineCtx::new(
             options.engine,
             self.varmap.num_vars as u32,
-            effective_cache_budget(options),
+            options.cache_budget,
             options.node_budget,
             options.dense_cut,
         );
@@ -487,43 +525,19 @@ impl Verifier {
                 support: s.support.permuted(&sifted.order),
             })
             .collect();
-        let refs: Vec<&Site> = local.iter().collect();
-        let mode = if matches!(property, Property::Probing(_)) {
-            CheckMode::RowWise
-        } else {
-            options.mode
-        };
-        let internal = refs.iter().filter(|s| s.is_internal()).count();
-        let region = region_for(property, &refs, refs.len(), internal);
-        let mut ctx = EngineCtx::new(
-            options.engine,
-            self.varmap.num_vars as u32,
-            effective_cache_budget(options),
-            options.node_budget,
-            options.dense_cut,
-        );
-        ctx.begin_tuple(&refs);
         // Local indices are the throwaway context's cache keys; they never
         // mix with another run's keys because the context dies here.
-        let local_idxs: Vec<usize> = (0..refs.len()).collect();
-        let hit = ctx.check_combination(
-            &sifted.manager,
-            &vm,
-            &refs,
-            &local_idxs,
-            &region,
-            mode,
-            stats,
-        );
-        ctx.fold_cache_stats(stats);
-        match hit {
-            Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
-                combination: refs.iter().map(|s| s.probe.clone()).collect(),
-                mask: mask.permuted(&sifted.inverse_order()),
-                reason,
-                coefficient,
-            }),
-            None => ComboStep::Clean,
+        let idxs: Vec<usize> = (0..local.len()).collect();
+        let mut state = self.begin_with_sites(local, property, options);
+        let bdds = &sifted.manager;
+        let step = check_in(bdds, &vm, &mut state, property, false, &idxs, stats);
+        state.finish(stats);
+        match step {
+            ComboStep::Violation(mut w) => {
+                w.mask = w.mask.permuted(&sifted.inverse_order());
+                ComboStep::Violation(w)
+            }
+            step => step,
         }
     }
 
@@ -539,40 +553,8 @@ impl Verifier {
         idxs: &[usize],
         stats: &mut CheckStats,
     ) -> ComboStep {
-        let combo: Vec<&Site> = idxs.iter().map(|&i| &state.sites[i]).collect();
-        let internal = combo.iter().filter(|s| s.is_internal()).count();
-        let region = region_for(property, &combo, combo.len(), internal);
-
-        if prefilter {
-            let support = combo.iter().fold(Mask::ZERO, |acc, s| acc | s.support);
-            if region_prunable(&region, &self.varmap, support) {
-                stats.pruned += 1;
-                return ComboStep::Pruned;
-            }
-        }
-
-        // Pruned tuples never reach the engine, so budgeting starts here:
-        // the prefilter is a sound proof, not a capacity concession.
-        state.ctx.begin_tuple(&combo);
-
-        let hit = state.ctx.check_combination(
-            &self.unfolded.bdds,
-            &self.varmap,
-            &combo,
-            idxs,
-            &region,
-            state.mode,
-            stats,
-        );
-        match hit {
-            Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
-                combination: combo.iter().map(|s| s.probe.clone()).collect(),
-                mask,
-                reason,
-                coefficient,
-            }),
-            None => ComboStep::Clean,
-        }
+        let (bdds, vm) = (&self.unfolded.bdds, &self.varmap);
+        check_in(bdds, vm, state, property, prefilter, idxs, stats)
     }
 
     /// Releases transient decision-diagram memory after an enumeration.
@@ -580,83 +562,6 @@ impl Verifier {
     /// support BDDs); this gives the memory back between runs.
     pub(crate) fn end_enumeration(&mut self) {
         self.unfolded.bdds.clear_caches();
-    }
-
-    /// The shared enumeration loop; `on_witness` decides whether to stop.
-    /// Returns the stats and the combinations quarantined by the
-    /// per-combination isolation boundary (budget exhaustion or a caught
-    /// panic), in enumeration order.
-    fn run_enumeration(
-        &mut self,
-        property: Property,
-        options: &VerifyOptions,
-        on_witness: &mut dyn FnMut(Witness) -> ControlFlow<()>,
-    ) -> (CheckStats, Vec<SkippedCombination>) {
-        crate::isolate::install_quiet_hook();
-        let start = Instant::now();
-        let mut state = self.begin_enumeration(property, options);
-        let d = property.order() as usize;
-        let mut stats = CheckStats::default();
-        let mut skipped: Vec<SkippedCombination> = Vec::new();
-
-        let max_k = d.min(state.sites.len());
-        let sizes: Vec<usize> = if options.largest_first {
-            (1..=max_k).rev().collect()
-        } else {
-            (1..=max_k).collect()
-        };
-
-        let this = &*self;
-        // Position in the deterministic global enumeration order, so
-        // indices agree with the scheduler's batch indices.
-        let mut index: u64 = 0;
-        'sizes: for k in sizes {
-            let flow = for_each_combination(state.sites.len(), k, &mut |idxs| {
-                let my_index = index;
-                index += 1;
-                stats.combinations += 1;
-                if stats.combinations % 256 == 1 {
-                    if crate::shutdown::requested() {
-                        stats.interrupted = true;
-                        return ControlFlow::Break(());
-                    }
-                    state.ctx.maybe_collect();
-                }
-                // The wall-clock budget is checked on every combination (a
-                // clock read is negligible next to any convolution).
-                if let Some(limit) = options.time_limit {
-                    if start.elapsed() > limit {
-                        stats.timed_out = true;
-                        return ControlFlow::Break(());
-                    }
-                }
-                match crate::isolate::check_isolated(
-                    this, &mut state, property, options, my_index, idxs, &mut stats,
-                ) {
-                    Ok(ComboStep::Clean | ComboStep::Pruned) => ControlFlow::Continue(()),
-                    Ok(ComboStep::Violation(w)) => on_witness(w),
-                    Err(reason) => {
-                        skipped.push(SkippedCombination {
-                            index: my_index,
-                            combination: idxs
-                                .iter()
-                                .map(|&i| state.sites[i].probe.clone())
-                                .collect(),
-                            reason,
-                        });
-                        ControlFlow::Continue(())
-                    }
-                }
-            });
-            if flow.is_break() {
-                break 'sizes;
-            }
-        }
-
-        state.finish(&mut stats);
-        self.end_enumeration();
-        stats.total_time = start.elapsed();
-        (stats, skipped)
     }
 }
 
@@ -681,16 +586,6 @@ impl EnumState {
     /// context starts its counters at zero, so the epochs sum correctly).
     pub(crate) fn finish(&self, stats: &mut CheckStats) {
         self.ctx.fold_cache_stats(stats);
-    }
-}
-
-/// The cache budget an options struct resolves to: `0` (disabled) when
-/// caching is switched off.
-fn effective_cache_budget(options: &VerifyOptions) -> usize {
-    if options.cache {
-        options.cache_budget
-    } else {
-        0
     }
 }
 
@@ -753,52 +648,69 @@ impl Verifier {
         property: Property,
         options: &VerifyOptions,
     ) -> Option<Witness> {
-        let sites = extract_sites(&self.netlist, &self.unfolded, &options.sites)
-            .expect("netlist validated in Verifier::new");
+        // No node budget here: `check_specific` / `minimize_witness` operate
+        // on combinations that already completed (or that the caller chose
+        // explicitly), so quarantining would only lose information.
+        let mut opts = options.clone();
+        opts.node_budget = None;
+        let mut state = self.begin_enumeration(property, &opts);
         // Match the requested probes to sites (by observed wire).
         let idxs: Vec<usize> = combination
             .iter()
             .map(|p| {
-                sites
+                state
+                    .sites
                     .iter()
                     .position(|s| s.probe.wire() == p.wire() && s.is_internal() == p.is_internal())
                     .expect("probe refers to a known site")
             })
             .collect();
-        let combo: Vec<&Site> = idxs.iter().map(|&i| &sites[i]).collect();
-        let mode = if matches!(property, Property::Probing(_)) {
-            CheckMode::RowWise
-        } else {
-            options.mode
-        };
-        let internal = combo.iter().filter(|s| s.is_internal()).count();
-        let region = region_for(property, &combo, combo.len(), internal);
-        // No node budget here: `check_specific` / `minimize_witness` operate
-        // on combinations that already completed (or that the caller chose
-        // explicitly), so quarantining would only lose information.
-        let mut ctx = EngineCtx::new(
-            options.engine,
-            self.varmap.num_vars as u32,
-            effective_cache_budget(options),
-            None,
-            options.dense_cut,
-        );
         let mut stats = CheckStats::default();
-        let hit = ctx.check_combination(
-            &self.unfolded.bdds,
-            &self.varmap,
-            &combo,
-            &idxs,
-            &region,
-            mode,
-            &mut stats,
-        );
-        hit.map(|(mask, reason, coefficient)| Witness {
+        match self.check_indices(&mut state, property, false, &idxs, &mut stats) {
+            ComboStep::Violation(w) => Some(w),
+            ComboStep::Clean | ComboStep::Pruned => None,
+        }
+    }
+}
+
+/// [`Verifier::check_indices`] over explicit wire functions and variable
+/// map (the sift rung passes re-ordered ones).
+fn check_in(
+    bdds: &BddManager,
+    vm: &VarMap,
+    state: &mut EnumState,
+    property: Property,
+    prefilter: bool,
+    idxs: &[usize],
+    stats: &mut CheckStats,
+) -> ComboStep {
+    let combo: Vec<&Site> = idxs.iter().map(|&i| &state.sites[i]).collect();
+    let internal = combo.iter().filter(|s| s.is_internal()).count();
+    let region = region_for(property, &combo, combo.len(), internal);
+
+    if prefilter {
+        let support = combo.iter().fold(Mask::ZERO, |acc, s| acc | s.support);
+        if region_prunable(&region, vm, support) {
+            stats.pruned += 1;
+            return ComboStep::Pruned;
+        }
+    }
+
+    // Pruned tuples never reach the engine, so budgeting starts here:
+    // the prefilter is a sound proof, not a capacity concession.
+    state.ctx.begin_tuple(&combo);
+
+    let hit = state
+        .ctx
+        .check_combination(bdds, vm, &combo, idxs, &region, state.mode, stats);
+    match hit {
+        Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
             combination: combo.iter().map(|s| s.probe.clone()).collect(),
             mask,
             reason,
             coefficient,
-        })
+        }),
+        None => ComboStep::Clean,
     }
 }
 
@@ -842,53 +754,20 @@ fn region_prunable(region: &Region, vm: &VarMap, support: Mask) -> bool {
     }
 }
 
-/// Visits every `k`-combination of `0..n` (lexicographic); the callback may
-/// break out early.
-fn for_each_combination(
-    n: usize,
-    k: usize,
-    f: &mut dyn FnMut(&[usize]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    if k == 0 || k > n {
-        return ControlFlow::Continue(());
-    }
-    let mut idxs: Vec<usize> = (0..k).collect();
-    loop {
-        f(&idxs)?;
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return ControlFlow::Continue(());
-            }
-            i -= 1;
-            if idxs[i] != i + n - k {
-                break;
-            }
-        }
-        idxs[i] += 1;
-        for j in i + 1..k {
-            idxs[j] = idxs[j - 1] + 1;
-        }
-    }
-}
+/// A violating coordinate, the reason, and the leaking coefficient when a
+/// single row exhibits it.
+type Hit = (Mask, String, Option<Dyadic>);
 
 /// Partial correlation rows of an enumeration prefix, in the DFS leaf order
 /// of [`product_rows`]. `None` marks the path on which no site has
 /// contributed a factor yet (joint mode's empty choices); it stands for the
-/// unit spectrum without materializing it.
-type RowList<S> = Vec<Option<Rc<S>>>;
+/// unit row without materializing it.
+type RowList<R> = Vec<Option<R>>;
 
 /// Prefix row lists larger than this are not materialized (wide glitch
 /// cones make the cartesian product of per-site choices explode); the
 /// engine falls back to the streaming DFS, which needs O(depth) memory.
 const MAX_PREFIX_ROWS: usize = 1 << 10;
-
-/// Estimated heap bytes of a cached row list (spectra report their own
-/// footprint; the `Option<Rc<_>>` slots add a word each).
-fn row_list_bytes<S: Spectrum>(rows: &[Option<Rc<S>>]) -> usize {
-    rows.iter().flatten().map(|s| s.heap_bytes()).sum::<usize>() + rows.len() * 8 + 32
-}
 
 /// The apply-cache slot limit derived from a prefix-cache byte budget
 /// (`None` keeps the manager's default bound). The direct-mapped caches
@@ -899,70 +778,497 @@ fn add_apply_limit(cache_budget: usize) -> Option<usize> {
     (cache_budget > 0).then(|| (cache_budget / 17).clamp(1 << 14, 1 << 22))
 }
 
-/// Fresh decision-diagram managers for an engine context: the ADD apply
-/// caches sized from the cache byte budget (see [`add_apply_limit`]), and
-/// both managers under the per-combination node budget.
-fn fresh_managers(
-    num_vars: u32,
-    cache_budget: usize,
-    node_budget: Option<usize>,
-) -> (AddManager<Dyadic>, BddManager) {
-    let mut adds = AddManager::new(num_vars);
-    if let Some(limit) = add_apply_limit(cache_budget) {
-        adds.set_apply_cache_limit(limit);
+/// One engine's row algebra. A tuple's correlation rows are products of one
+/// factor per observed function, so the row pipeline ([`Rows`]) needs only
+/// a memoized factor per function and the product of two rows: Walsh
+/// spectra multiplied by convolution (LIL, MAP, MAPI), or sign ADDs
+/// multiplied pointwise and Walsh-transformed at the leaf (FUJITA).
+trait Factors {
+    /// A row as the verification leaf sees it.
+    type Row;
+    /// A row as site groups and cached prefix lists hold it.
+    type Shared: Clone + Borrow<Self::Row>;
+    /// The memoized factor of one observed function.
+    fn base(&mut self, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Self::Shared;
+    /// The product of two rows.
+    fn mul(&mut self, a: &Self::Row, b: &Self::Row, stats: &mut CheckStats) -> Self::Row;
+    /// Wraps a computed row for sharing.
+    fn share(row: Self::Row) -> Self::Shared;
+    /// Estimated heap bytes a shared row owns (prefix-cache accounting).
+    fn bytes(row: &Self::Shared) -> usize;
+}
+
+/// Walsh spectra of the observed functions, multiplied by convolution
+/// (LIL, MAP and MAPI).
+struct Spectra<S> {
+    base: FastMap<Bdd, Rc<S>>,
+    walsh: SparseWalshCache,
+    /// Dense spectral-kernel cut threaded into the convolutions (see
+    /// [`VerifyOptions::dense_cut`]; the sparse transforms read the same
+    /// cut from `walsh`).
+    dense_cut: u32,
+}
+
+impl<S: Spectrum> Factors for Spectra<S> {
+    type Row = S;
+    type Shared = Rc<S>;
+
+    fn base(&mut self, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Rc<S> {
+        if let Some(s) = self.base.get(&f) {
+            return Rc::clone(s);
+        }
+        let t = Instant::now();
+        let sparse = walsh_sparse(bdds, f, &mut self.walsh);
+        let s = Rc::new(S::from_map(&sparse));
+        stats.convolution_time += t.elapsed();
+        self.base.insert(f, Rc::clone(&s));
+        s
     }
-    adds.set_node_budget(node_budget);
-    let mut t_bdds = BddManager::new(num_vars);
-    t_bdds.set_node_budget(node_budget);
-    (adds, t_bdds)
+
+    fn mul(&mut self, a: &S, b: &S, stats: &mut CheckStats) -> S {
+        let t = Instant::now();
+        let conv = a.convolve_opt(b, self.dense_cut);
+        stats.convolution_time += t.elapsed();
+        stats.convolutions += 1;
+        conv
+    }
+
+    fn share(row: S) -> Rc<S> {
+        Rc::new(row)
+    }
+
+    fn bytes(row: &Rc<S>) -> usize {
+        row.heap_bytes()
+    }
+}
+
+/// Sign ADDs `(−1)^f` of the observed functions, multiplied pointwise
+/// (FUJITA). Their products are not counted in `stats.convolutions`; the
+/// leaf's Walsh transform is.
+struct Signs {
+    base: FastMap<Bdd, Add>,
+    adds: AddManager<Dyadic>,
+}
+
+impl Signs {
+    /// Fresh sign factors in a manager whose apply caches are sized from
+    /// the cache byte budget (see [`add_apply_limit`]), under the
+    /// per-combination node budget.
+    fn new(num_vars: u32, cache_budget: usize, node_budget: Option<usize>) -> Self {
+        let mut adds = AddManager::new(num_vars);
+        if let Some(limit) = add_apply_limit(cache_budget) {
+            adds.set_apply_cache_limit(limit);
+        }
+        adds.set_node_budget(node_budget);
+        Signs {
+            base: FastMap::default(),
+            adds,
+        }
+    }
+}
+
+impl Factors for Signs {
+    type Row = Add;
+    type Shared = Add;
+
+    fn base(&mut self, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Add {
+        if let Some(&s) = self.base.get(&f) {
+            return s;
+        }
+        let t = Instant::now();
+        let s = sign_add(bdds, &mut self.adds, f);
+        stats.convolution_time += t.elapsed();
+        self.base.insert(f, s);
+        s
+    }
+
+    fn mul(&mut self, &a: &Add, &b: &Add, stats: &mut CheckStats) -> Add {
+        let t = Instant::now();
+        let p = self.adds.mul_op(a, b);
+        stats.convolution_time += t.elapsed();
+        p
+    }
+
+    fn share(row: Add) -> Add {
+        row
+    }
+
+    /// ADD handles are accounted as handles: their nodes live in the
+    /// context's arena, whose growth [`EngineCtx::maybe_collect`] bounds.
+    fn bytes(_: &Add) -> usize {
+        0
+    }
+}
+
+/// Estimated heap bytes of a cached row list (rows report their own
+/// footprint; the `Option` slots add a word each).
+fn row_list_bytes<F: Factors>(rows: &RowList<F::Shared>) -> usize {
+    rows.iter().flatten().map(F::bytes).sum::<usize>() + rows.len() * 8 + 32
 }
 
 /// How one combination's correlation rows will be produced.
-enum RowPlan<S> {
+enum RowPlan<R> {
     /// Streaming DFS over the per-site groups (cache off, or the prefix
     /// row list would be too large to materialize).
-    Dfs(Vec<Vec<Rc<S>>>),
+    Dfs(Vec<Vec<R>>),
     /// Materialized rows of the proper prefix plus the last site's group;
-    /// the last convolution level is streamed row by row.
-    Prefix(Rc<RowList<S>>, Rc<RowList<S>>),
+    /// the last product level is streamed row by row.
+    Prefix(Rc<RowList<R>>, Rc<RowList<R>>),
 }
 
-/// FUJITA's analogue of [`RowPlan`] with sign-ADD handles.
-enum SignPlan {
-    Dfs(Vec<Vec<Add>>),
-    Prefix(Rc<Vec<Option<Add>>>, Rc<Vec<Option<Add>>>),
-}
-
-/// Per-run engine state: spectrum caches, prefix caches and
-/// decision-diagram managers.
-struct EngineCtx {
-    kind: EngineKind,
-    walsh: SparseWalshCache,
-    /// Node-keyed partial-WHT memo shared across FUJITA rows; cleared
-    /// whenever [`EngineCtx::maybe_collect`] rebuilds `adds` (its keys are
-    /// `adds` handles).
-    wht_memo: WhtMemo,
-    /// Dense spectral-kernel cut threaded into the map convolutions (see
-    /// [`VerifyOptions::dense_cut`]; the DD-side kernels read the same cut
-    /// from `walsh` / `wht_memo`).
-    dense_cut: u32,
-    map_base: FastMap<Bdd, Rc<MapSpectrum>>,
-    lil_base: FastMap<Bdd, Rc<LilSpectrum>>,
-    sign_base: FastMap<Bdd, Add>,
-    adds: AddManager<Dyadic>,
-    t_bdds: BddManager,
-    t_cache: FastMap<Region, Bdd>,
-    /// Byte budget of each prefix cache below; `0` disables prefix caching
-    /// entirely (the engines then re-derive every tuple independently, as
-    /// before PR 2).
+/// The row pipeline, written once for all four engines: an engine's
+/// factors plus the worker's prefix cache of partial row lists (see
+/// DESIGN.md §9).
+struct Rows<F: Factors> {
+    factors: F,
+    prefix: PrefixCache<Rc<RowList<F::Shared>>>,
+    /// Byte budget of `prefix`; `0` disables prefix caching (the engine
+    /// then re-derives every tuple independently).
     cache_budget: usize,
-    /// Per-combination node-growth budget applied to `adds` / `t_bdds` (the
-    /// only managers that grow while checking a tuple) plus a deterministic
-    /// row-count pre-charge; `None` disables budgeting.
+}
+
+impl<S: Spectrum> Rows<Spectra<S>> {
+    fn spectra(cache_budget: usize, dense_cut: u32) -> Self {
+        let factors = Spectra {
+            base: FastMap::default(),
+            // The memo stays on with prefix caching disabled (cache_budget
+            // 0 ⇒ unbounded); a configured budget bounds it too.
+            walsh: SparseWalshCache::with_config(cache_budget, dense_cut),
+            dense_cut,
+        };
+        Rows::new(factors, cache_budget)
+    }
+}
+
+impl<F: Factors> Rows<F> {
+    fn new(factors: F, cache_budget: usize) -> Self {
+        Rows {
+            factors,
+            prefix: PrefixCache::new(cache_budget),
+            cache_budget,
+        }
+    }
+
+    /// Decides how this combination's rows will be produced and computes
+    /// the shared pieces: with the cache enabled, per-site groups and the
+    /// proper prefix's accumulated rows come from the prefix cache; with it
+    /// disabled (or when materializing the prefix would be too large), the
+    /// per-site groups feed the streaming DFS of [`product_rows`].
+    fn plan(
+        &mut self,
+        bdds: &BddManager,
+        combo: &[&Site],
+        idxs: &[usize],
+        joint: bool,
+        stats: &mut CheckStats,
+    ) -> RowPlan<F::Shared> {
+        if self.cache_budget == 0 {
+            let groups = combo
+                .iter()
+                .map(|site| {
+                    one_site_rows(&mut self.factors, bdds, site, stats)
+                        .into_iter()
+                        .flatten()
+                        .collect()
+                })
+                .collect();
+            return RowPlan::Dfs(groups);
+        }
+        let groups: Vec<Rc<RowList<F::Shared>>> = combo
+            .iter()
+            .zip(idxs)
+            .map(|(site, &i)| self.site_rows(bdds, site, i, stats))
+            .collect();
+        let k = groups.len();
+        let rows_estimate = groups[..k - 1]
+            .iter()
+            .map(|g| g.len() + joint as usize)
+            .fold(1usize, usize::saturating_mul);
+        if rows_estimate > MAX_PREFIX_ROWS {
+            let plain = groups
+                .iter()
+                .map(|g| g.iter().flatten().cloned().collect())
+                .collect();
+            return RowPlan::Dfs(plain);
+        }
+        let prefix = if k == 1 {
+            Rc::new(vec![None])
+        } else {
+            self.prefix_rows(&idxs[..k - 1], &groups[..k - 1], joint, stats)
+        };
+        RowPlan::Prefix(prefix, Rc::clone(&groups[k - 1]))
+    }
+
+    /// The per-site row group, cached at key `([i], row-wise)`, which
+    /// doubles as the depth-1 row-wise prefix entry (the values coincide).
+    fn site_rows(
+        &mut self,
+        bdds: &BddManager,
+        site: &Site,
+        idx: usize,
+        stats: &mut CheckStats,
+    ) -> Rc<RowList<F::Shared>> {
+        if let Some(rows) = self.prefix.get(&[idx], false) {
+            return rows;
+        }
+        let rows = Rc::new(one_site_rows(&mut self.factors, bdds, site, stats));
+        let bytes = row_list_bytes::<F>(&rows);
+        self.prefix.insert(&[idx], false, Rc::clone(&rows), bytes);
+        rows
+    }
+
+    /// Accumulated partial rows of the proper prefix `idxs` (site-index
+    /// slice of length ≥ 1), in DFS leaf order. Probes the cache from the
+    /// deepest level down, then extends one level at a time, caching every
+    /// intermediate so sibling tuples and deeper prefixes reuse it.
+    fn prefix_rows(
+        &mut self,
+        idxs: &[usize],
+        groups: &[Rc<RowList<F::Shared>>],
+        joint: bool,
+        stats: &mut CheckStats,
+    ) -> Rc<RowList<F::Shared>> {
+        let depth = idxs.len();
+        // Depth-1 row-wise rows are the site group itself (same cache key
+        // `([i], false)` that `site_rows` maintains), so the descent stops
+        // at level 1 without a second probe there.
+        let (mut level, mut rows) = if joint {
+            (0, Rc::new(vec![None]))
+        } else {
+            (1, Rc::clone(&groups[0]))
+        };
+        for j in ((level + 1)..=depth).rev() {
+            if let Some(r) = self.prefix.get(&idxs[..j], joint) {
+                rows = r;
+                level = j;
+                break;
+            }
+        }
+        while level < depth {
+            let next = Rc::new(extend_rows(
+                &mut self.factors,
+                &rows,
+                &groups[level],
+                joint,
+                stats,
+            ));
+            level += 1;
+            let bytes = row_list_bytes::<F>(&next);
+            self.prefix
+                .insert(&idxs[..level], joint, Rc::clone(&next), bytes);
+            rows = next;
+        }
+        rows
+    }
+
+    /// Drives `leaf` over every correlation row of a [`RowPlan`], in the
+    /// same leaf order either way (the deterministic-witness guarantee
+    /// depends on it; see DESIGN.md §9).
+    fn drive(
+        &mut self,
+        plan: &RowPlan<F::Shared>,
+        joint: bool,
+        stats: &mut CheckStats,
+        leaf: &mut Leaf<'_, F>,
+    ) -> ControlFlow<()> {
+        let f = &mut self.factors;
+        match plan {
+            RowPlan::Dfs(groups) => product_rows(f, groups, joint, stats, leaf),
+            RowPlan::Prefix(rows, group) => stream_rows(f, rows, group, joint, stats, leaf),
+        }
+    }
+}
+
+/// One site's row group: the products of every non-empty subset of the
+/// site's observed functions (a single factor in the standard model),
+/// reusing smaller subsets: subset m = (m without lowest bit) × base(lowest).
+fn one_site_rows<F: Factors>(
+    f: &mut F,
+    bdds: &BddManager,
+    site: &Site,
+    stats: &mut CheckStats,
+) -> RowList<F::Shared> {
+    let mut out: RowList<F::Shared> = Vec::with_capacity((1 << site.funcs.len()) - 1);
+    for m in 1usize..1 << site.funcs.len() {
+        let low = m.trailing_zeros() as usize;
+        let rest = m & (m - 1);
+        let base = f.base(bdds, site.funcs[low], stats);
+        let row = if rest == 0 {
+            base
+        } else {
+            let prev = out[rest - 1].as_ref().expect("site rows are all present");
+            F::share(f.mul(prev.borrow(), base.borrow(), stats))
+        };
+        out.push(Some(row));
+    }
+    out
+}
+
+/// Extends the accumulated prefix rows by one site's group, preserving the
+/// DFS leaf order (rows outer, choices inner; joint mode's empty choice
+/// first). The product association is the same left-to-right chain the
+/// DFS computes, so the resulting rows are identical, not just equivalent.
+fn extend_rows<F: Factors>(
+    f: &mut F,
+    rows: &RowList<F::Shared>,
+    group: &RowList<F::Shared>,
+    joint: bool,
+    stats: &mut CheckStats,
+) -> RowList<F::Shared> {
+    let mut out = Vec::with_capacity(rows.len() * (group.len() + joint as usize));
+    for r in rows {
+        if joint {
+            out.push(r.clone());
+        }
+        for c in group.iter().flatten() {
+            out.push(Some(match r {
+                None => c.clone(),
+                Some(prev) => F::share(f.mul(prev.borrow(), c.borrow(), stats)),
+            }));
+        }
+    }
+    out
+}
+
+/// Verification callback of the row pipeline: receives the engine's
+/// factors (FUJITA transforms the row in their manager), one finished row,
+/// and the counters.
+type Leaf<'a, F> = dyn FnMut(&mut F, &<F as Factors>::Row, &mut CheckStats) -> ControlFlow<()> + 'a;
+
+/// Streams the last product level: every prefix row times every choice of
+/// the final site (plus, in joint mode, the prefix row itself for the
+/// final site's empty choice). The all-empty path (`None` row, empty last
+/// choice) is skipped exactly as [`product_rows`] skips its `None`
+/// accumulator.
+fn stream_rows<F: Factors>(
+    f: &mut F,
+    rows: &RowList<F::Shared>,
+    group: &RowList<F::Shared>,
+    joint: bool,
+    stats: &mut CheckStats,
+    leaf: &mut Leaf<'_, F>,
+) -> ControlFlow<()> {
+    for r in rows {
+        if joint {
+            if let Some(row) = r {
+                leaf(f, row.borrow(), stats)?;
+            }
+        }
+        for c in group.iter().flatten() {
+            match r {
+                None => leaf(f, c.borrow(), stats)?,
+                Some(prev) => {
+                    let row = f.mul(prev.borrow(), c.borrow(), stats);
+                    leaf(f, &row, stats)?;
+                }
+            }
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Walks the cartesian product of per-site row choices, multiplying along
+/// the path. With `include_empty`, each site may also contribute nothing
+/// (used by joint mode to reach every ω), except the all-empty row.
+fn product_rows<F: Factors>(
+    f: &mut F,
+    groups: &[Vec<F::Shared>],
+    include_empty: bool,
+    stats: &mut CheckStats,
+    leaf: &mut Leaf<'_, F>,
+) -> ControlFlow<()> {
+    fn rec<F: Factors>(
+        f: &mut F,
+        groups: &[Vec<F::Shared>],
+        acc: Option<&F::Row>,
+        include_empty: bool,
+        stats: &mut CheckStats,
+        leaf: &mut Leaf<'_, F>,
+    ) -> ControlFlow<()> {
+        let Some((group, rest)) = groups.split_first() else {
+            return match acc {
+                Some(row) => leaf(f, row, stats),
+                None => ControlFlow::Continue(()),
+            };
+        };
+        if include_empty {
+            rec(f, rest, acc, include_empty, stats, leaf)?;
+        }
+        for choice in group {
+            match acc {
+                None => rec(f, rest, Some(choice.borrow()), include_empty, stats, leaf)?,
+                Some(prev) => {
+                    let row = f.mul(prev, choice.borrow(), stats);
+                    rec(f, rest, Some(&row), include_empty, stats, leaf)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+    rec(f, groups, None, include_empty, stats, leaf)
+}
+
+/// The T-matrix BDDs of the forbidden regions (MAPI and FUJITA), in their
+/// own manager under the per-combination node budget.
+struct TMatrices {
+    bdds: BddManager,
+    cache: FastMap<Region, Bdd>,
+}
+
+impl TMatrices {
+    fn new(num_vars: u32, node_budget: Option<usize>) -> Self {
+        let mut bdds = BddManager::new(num_vars);
+        bdds.set_node_budget(node_budget);
+        TMatrices {
+            bdds,
+            cache: FastMap::default(),
+        }
+    }
+
+    fn get(&mut self, region: &Region, vm: &VarMap) -> Bdd {
+        if let Some(&t) = self.cache.get(region) {
+            return t;
+        }
+        let t = region.to_bdd(vm, &mut self.bdds);
+        self.cache.insert(region.clone(), t);
+        t
+    }
+}
+
+/// MAPI: map convolution, row-wise verification against the T matrix.
+struct Mapi {
+    rows: Rows<Spectra<MapSpectrum>>,
+    t: TMatrices,
+}
+
+/// FUJITA: sign-ADD products, the Fujita Walsh transform of every row, and
+/// verification against the T matrix.
+struct Fujita {
+    rows: Rows<Signs>,
+    /// Node-keyed partial-WHT memo shared across rows; cleared whenever
+    /// [`EngineCtx::maybe_collect`] rebuilds the sign manager (its keys
+    /// are that manager's handles).
+    wht_memo: WhtMemo,
+    t: TMatrices,
+}
+
+/// The state of one engine; each variant holds only what its engine runs.
+#[allow(clippy::large_enum_variant)] // one per worker, never moved in a loop
+enum Engine {
+    Lil(Rows<Spectra<LilSpectrum>>),
+    Map(Rows<Spectra<MapSpectrum>>),
+    Mapi(Mapi),
+    Fujita(Fujita),
+}
+
+/// Per-run engine state of one worker.
+struct EngineCtx {
+    engine: Engine,
+    /// Per-combination node-growth budget: a deterministic row-count
+    /// pre-charge per tuple, plus the growth limit of the engine's
+    /// decision-diagram managers (the only state that grows while checking
+    /// a tuple); `None` disables budgeting.
     node_budget: Option<usize>,
-    map_prefix: PrefixCache<Rc<RowList<MapSpectrum>>>,
-    lil_prefix: PrefixCache<Rc<RowList<LilSpectrum>>>,
-    add_prefix: PrefixCache<Rc<Vec<Option<Add>>>>,
 }
 
 impl EngineCtx {
@@ -973,26 +1279,25 @@ impl EngineCtx {
         node_budget: Option<usize>,
         dense_cut: u32,
     ) -> Self {
-        let (adds, t_bdds) = fresh_managers(num_vars, cache_budget, node_budget);
+        let engine = match kind {
+            EngineKind::Lil => Engine::Lil(Rows::spectra(cache_budget, dense_cut)),
+            EngineKind::Map => Engine::Map(Rows::spectra(cache_budget, dense_cut)),
+            EngineKind::Mapi => Engine::Mapi(Mapi {
+                rows: Rows::spectra(cache_budget, dense_cut),
+                t: TMatrices::new(num_vars, node_budget),
+            }),
+            EngineKind::Fujita => Engine::Fujita(Fujita {
+                rows: Rows::new(
+                    Signs::new(num_vars, cache_budget, node_budget),
+                    cache_budget,
+                ),
+                wht_memo: WhtMemo::with_config(cache_budget, dense_cut),
+                t: TMatrices::new(num_vars, node_budget),
+            }),
+        };
         EngineCtx {
-            kind,
-            // The base-spectrum memos predate the prefix caches and stay on
-            // even with caching disabled (cache_budget 0 ⇒ unbounded, the
-            // pre-PR-10 behavior); a configured budget bounds them too.
-            walsh: SparseWalshCache::with_config(cache_budget, dense_cut),
-            wht_memo: WhtMemo::with_config(cache_budget, dense_cut),
-            dense_cut,
-            map_base: FastMap::default(),
-            lil_base: FastMap::default(),
-            sign_base: FastMap::default(),
-            adds,
-            t_bdds,
-            t_cache: FastMap::default(),
-            cache_budget,
+            engine,
             node_budget,
-            map_prefix: PrefixCache::new(cache_budget),
-            lil_prefix: PrefixCache::new(cache_budget),
-            add_prefix: PrefixCache::new(cache_budget),
         }
     }
 
@@ -1017,62 +1322,68 @@ impl EngineCtx {
         if est > limit {
             walshcheck_dd::budget::exceeded("tuple-estimate", est, limit);
         }
-        self.adds.rebase_node_budget();
-        self.t_bdds.rebase_node_budget();
+        match &mut self.engine {
+            Engine::Lil(_) | Engine::Map(_) => {}
+            Engine::Mapi(m) => m.t.bdds.rebase_node_budget(),
+            Engine::Fujita(f) => {
+                f.rows.factors.adds.rebase_node_budget();
+                f.t.bdds.rebase_node_budget();
+            }
+        }
     }
 
     /// Bounds arena growth over very long enumerations: the per-row ADDs
-    /// and support BDDs are transient, so once the arenas grow past a
-    /// threshold everything (including the cached T matrices and sign
-    /// ADDs, which are cheap to rebuild) is dropped and re-created. Cached
-    /// prefix ADD handles point into the old arena, so the ADD prefix
-    /// cache is invalidated too (the spectrum prefix caches survive).
+    /// and support BDDs are transient, so once an arena grows past a
+    /// threshold its manager is dropped and re-created, together with
+    /// everything holding its handles — the cached T matrices and, for
+    /// FUJITA, the sign factors, the sign prefix cache and the WHT memo
+    /// (whose counters survive). Spectra hold no handles, so the spectrum
+    /// prefix caches survive; LIL and MAP grow no arena.
     fn maybe_collect(&mut self) {
         const NODE_LIMIT: usize = 4_000_000;
-        if self.adds.arena_size() > NODE_LIMIT || self.t_bdds.arena_size() > NODE_LIMIT {
-            (self.adds, self.t_bdds) =
-                fresh_managers(self.adds.num_vars(), self.cache_budget, self.node_budget);
-            self.t_cache.clear();
-            self.sign_base.clear();
-            self.add_prefix.clear();
-            // The WHT memo is keyed by handles into the old `adds` arena.
-            self.wht_memo.clear();
+        let node_budget = self.node_budget;
+        match &mut self.engine {
+            Engine::Lil(_) | Engine::Map(_) => {}
+            Engine::Mapi(m) => {
+                if m.t.bdds.arena_size() > NODE_LIMIT {
+                    m.t = TMatrices::new(m.t.bdds.num_vars(), node_budget);
+                }
+            }
+            Engine::Fujita(f) => {
+                let adds = &f.rows.factors.adds;
+                if adds.arena_size() > NODE_LIMIT || f.t.bdds.arena_size() > NODE_LIMIT {
+                    let num_vars = adds.num_vars();
+                    f.rows.factors = Signs::new(num_vars, f.rows.cache_budget, node_budget);
+                    f.rows.prefix.clear();
+                    f.wht_memo.clear();
+                    f.t = TMatrices::new(num_vars, node_budget);
+                }
+            }
         }
     }
 
-    /// Folds the prefix-cache counters into `stats` (at most one of the
-    /// three caches is active for any engine kind; the others stay zero).
+    /// Folds the engine's prefix-cache and spectral-memo counters into
+    /// `stats`.
     fn fold_cache_stats(&self, stats: &mut CheckStats) {
-        for s in [
-            self.map_prefix.stats(),
-            self.lil_prefix.stats(),
-            self.add_prefix.stats(),
-        ] {
-            stats.cache_hits += s.hits;
-            stats.cache_misses += s.misses;
-            stats.cache_evictions += s.evictions;
-            stats.cache_peak_bytes += s.peak_bytes;
-        }
-        for s in [self.walsh.stats(), self.wht_memo.stats()] {
-            stats.dd_cache_hits += s.hits;
-            stats.dd_cache_misses += s.misses;
-            stats.dd_cache_evictions += s.evictions;
-            stats.dd_cache_peak_bytes += s.peak_bytes as u64;
-        }
+        let (prefix, memo) = match &self.engine {
+            Engine::Lil(rows) => (rows.prefix.stats(), rows.factors.walsh.stats()),
+            Engine::Map(rows) | Engine::Mapi(Mapi { rows, .. }) => {
+                (rows.prefix.stats(), rows.factors.walsh.stats())
+            }
+            Engine::Fujita(f) => (f.rows.prefix.stats(), f.wht_memo.stats()),
+        };
+        stats.cache_hits += prefix.hits;
+        stats.cache_misses += prefix.misses;
+        stats.cache_evictions += prefix.evictions;
+        stats.cache_peak_bytes += prefix.peak_bytes;
+        stats.dd_cache_hits += memo.hits;
+        stats.dd_cache_misses += memo.misses;
+        stats.dd_cache_evictions += memo.evictions;
+        stats.dd_cache_peak_bytes += memo.peak_bytes as u64;
     }
 
-    fn t_matrix(&mut self, region: &Region, vm: &VarMap) -> Bdd {
-        if let Some(&t) = self.t_cache.get(region) {
-            return t;
-        }
-        let t = region.to_bdd(vm, &mut self.t_bdds);
-        self.t_cache.insert(region.clone(), t);
-        t
-    }
-
-    /// Checks one combination; returns a violating coordinate, the reason,
-    /// and the leaking coefficient when a single row exhibits it. `idxs`
-    /// are the combination's global site indices — the prefix-cache keys.
+    /// Checks one combination. `idxs` are the combination's global site
+    /// indices — the prefix-cache keys.
     #[allow(clippy::too_many_arguments)]
     fn check_combination(
         &mut self,
@@ -1083,242 +1394,74 @@ impl EngineCtx {
         region: &Region,
         mode: CheckMode,
         stats: &mut CheckStats,
-    ) -> Option<(Mask, String, Option<Dyadic>)> {
-        match (self.kind, mode) {
-            (EngineKind::Lil, _) => {
-                self.scan_check::<LilSpectrum>(bdds, vm, combo, idxs, region, mode, stats)
-            }
-            (EngineKind::Map, _) => {
-                self.scan_check::<MapSpectrum>(bdds, vm, combo, idxs, region, mode, stats)
-            }
-            (EngineKind::Mapi, CheckMode::RowWise) => {
-                self.mapi_rowwise(bdds, vm, combo, idxs, region, stats)
-            }
+    ) -> Option<Hit> {
+        let screen_rows = self.node_budget.is_none();
+        match (&mut self.engine, mode) {
+            (Engine::Lil(rows), _) => scan_check(rows, bdds, vm, combo, idxs, region, mode, stats),
             // MAPI joint: the union-support accumulation is a map scan (the
             // ADD only accelerates the per-row region product).
-            (EngineKind::Mapi, CheckMode::Joint) => {
-                self.scan_check::<MapSpectrum>(bdds, vm, combo, idxs, region, mode, stats)
+            (Engine::Map(rows), _) | (Engine::Mapi(Mapi { rows, .. }), CheckMode::Joint) => {
+                scan_check(rows, bdds, vm, combo, idxs, region, mode, stats)
             }
-            (EngineKind::Fujita, _) => {
-                self.fujita_check(bdds, vm, combo, idxs, region, mode, stats)
+            (Engine::Mapi(m), CheckMode::RowWise) => {
+                m.check_rowwise(bdds, vm, combo, idxs, region, screen_rows, stats)
             }
+            (Engine::Fujita(f), _) => f.check(bdds, vm, combo, idxs, region, mode, stats),
         }
     }
+}
 
-    // ---- scan engines (LIL / MAP) ----
+/// LIL and MAP (and MAPI's joint mode): scan each row's entries against the
+/// region, or unite their ρ = 0 supports in joint mode.
+#[allow(clippy::too_many_arguments)]
+fn scan_check<S: Spectrum>(
+    rows: &mut Rows<Spectra<S>>,
+    bdds: &BddManager,
+    vm: &VarMap,
+    combo: &[&Site],
+    idxs: &[usize],
+    region: &Region,
+    mode: CheckMode,
+    stats: &mut CheckStats,
+) -> Option<Hit> {
+    let joint = mode == CheckMode::Joint;
+    let plan = rows.plan(bdds, combo, idxs, joint, stats);
+    let (mut hit, mut union) = (None, Mask::ZERO);
+    let _ = rows.drive(&plan, joint, stats, &mut |_, spec, stats| {
+        stats.rows_checked += 1;
+        let t = Instant::now();
+        if joint {
+            union = union | spec.support_union(&|m| vm.rho_is_zero(m));
+        } else {
+            hit = spec.find(&|m, _| region.matches(vm, m));
+        }
+        stats.verification_time += t.elapsed();
+        match hit {
+            Some(_) => ControlFlow::Break(()),
+            None => ControlFlow::Continue(()),
+        }
+    });
+    if joint {
+        joint_verdict(region, vm, union).map(|(m, r)| (m, r, None))
+    } else {
+        hit.map(|(m, c)| (m, rowwise_reason(region, vm, m), Some(c)))
+    }
+}
 
+impl Mapi {
     #[allow(clippy::too_many_arguments)]
-    fn scan_check<S: Spectrum + SpectrumBase>(
+    fn check_rowwise(
         &mut self,
         bdds: &BddManager,
         vm: &VarMap,
         combo: &[&Site],
         idxs: &[usize],
         region: &Region,
-        mode: CheckMode,
+        screen_rows: bool,
         stats: &mut CheckStats,
-    ) -> Option<(Mask, String, Option<Dyadic>)> {
-        let joint = mode == CheckMode::Joint;
-        let plan = self.row_plan::<S>(bdds, combo, idxs, joint, stats);
-        let dense_cut = self.dense_cut;
-        match mode {
-            CheckMode::RowWise => {
-                let mut hit = None;
-                let _ = drive_rows(&plan, false, dense_cut, stats, &mut |spec, stats| {
-                    stats.rows_checked += 1;
-                    let t = Instant::now();
-                    let found = spec.find(&|m, _| region.matches(vm, m));
-                    stats.verification_time += t.elapsed();
-                    if let Some((m, c)) = found {
-                        hit = Some((m, c));
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                });
-                hit.map(|(m, c)| (m, rowwise_reason(region, vm, m), Some(c)))
-            }
-            CheckMode::Joint => {
-                let mut union = Mask::ZERO;
-                let _ = drive_rows(&plan, true, dense_cut, stats, &mut |spec, stats| {
-                    stats.rows_checked += 1;
-                    let t = Instant::now();
-                    union = union | spec.support_union(&|m| vm.rho_is_zero(m));
-                    stats.verification_time += t.elapsed();
-                    ControlFlow::Continue(())
-                });
-                joint_verdict(region, vm, union).map(|(m, r)| (m, r, None))
-            }
-        }
-    }
-
-    /// Decides how this combination's rows will be produced and computes
-    /// the shared pieces: with the cache enabled, per-site groups and the
-    /// proper prefix's accumulated rows come from the prefix cache; with it
-    /// disabled (or when materializing the prefix would be too large), the
-    /// per-site groups feed the streaming DFS of [`product_rows`].
-    fn row_plan<S: Spectrum + SpectrumBase>(
-        &mut self,
-        bdds: &BddManager,
-        combo: &[&Site],
-        idxs: &[usize],
-        joint: bool,
-        stats: &mut CheckStats,
-    ) -> RowPlan<S> {
-        if self.cache_budget == 0 {
-            return RowPlan::Dfs(self.subset_spectra::<S>(bdds, combo, stats));
-        }
-        let groups: Vec<Rc<RowList<S>>> = combo
-            .iter()
-            .zip(idxs)
-            .map(|(site, &i)| self.site_rows::<S>(bdds, site, i, stats))
-            .collect();
-        let k = groups.len();
-        let rows_estimate = groups[..k - 1]
-            .iter()
-            .map(|g| g.len() + joint as usize)
-            .fold(1usize, usize::saturating_mul);
-        if rows_estimate > MAX_PREFIX_ROWS {
-            let plain = groups
-                .iter()
-                .map(|g| g.iter().flatten().cloned().collect())
-                .collect();
-            return RowPlan::Dfs(plain);
-        }
-        let prefix = if k == 1 {
-            Rc::new(vec![None])
-        } else {
-            self.prefix_rows::<S>(&idxs[..k - 1], &groups[..k - 1], joint, stats)
-        };
-        RowPlan::Prefix(prefix, Rc::clone(&groups[k - 1]))
-    }
-
-    /// The per-site row group — spectra of every non-empty subset of the
-    /// site's observed functions (a single element in the standard model) —
-    /// cached at key `([i], row-wise)`, which doubles as the depth-1
-    /// row-wise prefix entry (the values coincide).
-    fn site_rows<S: Spectrum + SpectrumBase>(
-        &mut self,
-        bdds: &BddManager,
-        site: &Site,
-        idx: usize,
-        stats: &mut CheckStats,
-    ) -> Rc<RowList<S>> {
-        if let Some(rows) = S::prefix_cache(self).get(&[idx], false) {
-            return rows;
-        }
-        let rows = Rc::new(self.one_site_rows::<S>(bdds, site, stats));
-        let bytes = row_list_bytes(&rows);
-        S::prefix_cache(self).insert(&[idx], false, Rc::clone(&rows), bytes);
-        rows
-    }
-
-    /// Computes one site's subset spectra (no cache interaction).
-    fn one_site_rows<S: Spectrum + SpectrumBase>(
-        &mut self,
-        bdds: &BddManager,
-        site: &Site,
-        stats: &mut CheckStats,
-    ) -> RowList<S> {
-        let mut out: RowList<S> = Vec::with_capacity((1 << site.funcs.len()) - 1);
-        // Enumerate non-empty subsets; reuse smaller subsets'
-        // results: subset m = (m without lowest bit) ⊛ base(lowest).
-        for m in 1usize..1 << site.funcs.len() {
-            let low = m.trailing_zeros() as usize;
-            let rest = m & (m - 1);
-            let base = S::base(self, bdds, site.funcs[low], stats);
-            let spec = if rest == 0 {
-                base
-            } else {
-                let prev = out[rest - 1].as_ref().expect("site rows are all present");
-                let t = Instant::now();
-                let conv = prev.convolve_opt(&base, self.dense_cut);
-                stats.convolution_time += t.elapsed();
-                stats.convolutions += 1;
-                Rc::new(conv)
-            };
-            out.push(Some(spec));
-        }
-        out
-    }
-
-    /// Accumulated partial rows of the proper prefix `idxs` (site-index
-    /// slice of length ≥ 1), in DFS leaf order. Probes the cache from the
-    /// deepest level down, then extends one level at a time, caching every
-    /// intermediate so sibling tuples and deeper prefixes reuse it.
-    fn prefix_rows<S: Spectrum + SpectrumBase>(
-        &mut self,
-        idxs: &[usize],
-        groups: &[Rc<RowList<S>>],
-        joint: bool,
-        stats: &mut CheckStats,
-    ) -> Rc<RowList<S>> {
-        let depth = idxs.len();
-        // Depth-1 row-wise rows are the site group itself (same cache key
-        // `([i], false)` that `site_rows` maintains), so the descent stops
-        // at level 1 without a second probe there.
-        let (mut level, mut rows) = if joint {
-            (0, Rc::new(vec![None]))
-        } else {
-            (1, Rc::clone(&groups[0]))
-        };
-        for j in ((level + 1)..=depth).rev() {
-            if let Some(r) = S::prefix_cache(self).get(&idxs[..j], joint) {
-                rows = r;
-                level = j;
-                break;
-            }
-        }
-        while level < depth {
-            let next = Rc::new(extend_rows(
-                &rows,
-                &groups[level],
-                joint,
-                self.dense_cut,
-                stats,
-            ));
-            level += 1;
-            let bytes = row_list_bytes(&next);
-            S::prefix_cache(self).insert(&idxs[..level], joint, Rc::clone(&next), bytes);
-            rows = next;
-        }
-        rows
-    }
-
-    /// Per-site spectra of every non-empty subset of the site's observed
-    /// functions, computed fresh for this combination (the cache-off path:
-    /// exactly the pre-PR-2 cost model).
-    fn subset_spectra<S: Spectrum + SpectrumBase>(
-        &mut self,
-        bdds: &BddManager,
-        combo: &[&Site],
-        stats: &mut CheckStats,
-    ) -> Vec<Vec<Rc<S>>> {
-        combo
-            .iter()
-            .map(|site| {
-                self.one_site_rows::<S>(bdds, site, stats)
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            })
-            .collect()
-    }
-
-    // ---- MAPI: map convolution, ADD verification ----
-
-    fn mapi_rowwise(
-        &mut self,
-        bdds: &BddManager,
-        vm: &VarMap,
-        combo: &[&Site],
-        idxs: &[usize],
-        region: &Region,
-        stats: &mut CheckStats,
-    ) -> Option<(Mask, String, Option<Dyadic>)> {
-        let plan = self.row_plan::<MapSpectrum>(bdds, combo, idxs, false, stats);
-        let mut hit = None;
-        let t_bdds = &mut self.t_bdds;
-        let t_cache = &mut self.t_cache;
+    ) -> Option<Hit> {
+        let plan = self.rows.plan(bdds, combo, idxs, false, stats);
+        let tm = &mut self.t;
         // Interning-free screening: the existential query ∃α. T(α,ρ) ∧
         // W(α,ρ) ≠ 0 is first resolved by a direct mask scan of the key
         // set — the same `region.matches` predicate the T-matrix BDD was
@@ -1329,26 +1472,15 @@ impl EngineCtx {
         // through to the exact build-and-intersect below, whose witness —
         // `one_sat` over the BDD product — is byte-identical to an
         // unscreened run's.
-        let screen_rows = self.node_budget.is_none();
+        //
         // The T-matrix BDD is only consulted past the screen, so its
         // construction is deferred to the first screen hit: secure gadgets
         // (every shipped benchmark) never pay for it. With the screen off
         // the old eager build is kept — every row intersects against it.
-        let mut t_matrix = if screen_rows {
-            None
-        } else {
-            Some(match t_cache.get(region) {
-                Some(&t) => t,
-                None => {
-                    let t = region.to_bdd(vm, t_bdds);
-                    t_cache.insert(region.clone(), t);
-                    t
-                }
-            })
-        };
-        let dense_cut = self.dense_cut;
+        let mut t_matrix = (!screen_rows).then(|| tm.get(region, vm));
         let mut keys: Vec<u128> = Vec::new();
-        let _ = drive_rows(&plan, false, dense_cut, stats, &mut |spec, stats| {
+        let mut hit = None;
+        let _ = self.rows.drive(&plan, false, stats, &mut |_, spec, stats| {
             stats.rows_checked += 1;
             let t = Instant::now();
             if screen_rows
@@ -1370,19 +1502,12 @@ impl EngineCtx {
                     .filter(|(_, c)| !c.is_zero())
                     .map(|(&k, _)| k),
             );
-            let t_matrix = *t_matrix.get_or_insert_with(|| match t_cache.get(region) {
-                Some(&t) => t,
-                None => {
-                    let t = region.to_bdd(vm, t_bdds);
-                    t_cache.insert(region.clone(), t);
-                    t
-                }
-            });
-            let nonzero = t_bdds.from_keys(&mut keys);
-            let product = t_bdds.and(nonzero, t_matrix);
+            let t_matrix = *t_matrix.get_or_insert_with(|| tm.get(region, vm));
+            let nonzero = tm.bdds.from_keys(&mut keys);
+            let product = tm.bdds.and(nonzero, t_matrix);
             stats.verification_time += t.elapsed();
             if product != Bdd::FALSE {
-                let alpha = t_bdds.one_sat(product).expect("satisfiable product");
+                let alpha = tm.bdds.one_sat(product).expect("satisfiable product");
                 let coeff = *spec
                     .entries()
                     .get(&alpha)
@@ -1394,11 +1519,11 @@ impl EngineCtx {
         });
         hit.map(|(m, c)| (m, rowwise_reason(region, vm, m), Some(c)))
     }
+}
 
-    // ---- FUJITA: full ADD pipeline ----
-
+impl Fujita {
     #[allow(clippy::too_many_arguments)]
-    fn fujita_check(
+    fn check(
         &mut self,
         bdds: &BddManager,
         vm: &VarMap,
@@ -1407,508 +1532,44 @@ impl EngineCtx {
         region: &Region,
         mode: CheckMode,
         stats: &mut CheckStats,
-    ) -> Option<(Mask, String, Option<Dyadic>)> {
+    ) -> Option<Hit> {
         let joint = mode == CheckMode::Joint;
-        let plan = self.sign_plan(bdds, combo, idxs, joint, stats);
-        let t_matrix = self.t_matrix(region, vm);
-        let adds = &mut self.adds;
-        let t_bdds = &mut self.t_bdds;
+        let plan = self.rows.plan(bdds, combo, idxs, joint, stats);
+        let t_matrix = self.t.get(region, vm);
+        let t_bdds = &mut self.t.bdds;
         let wht_memo = &mut self.wht_memo;
-
-        match mode {
-            CheckMode::RowWise => {
-                let mut hit = None;
-                let _ = drive_signs(adds, &plan, false, stats, &mut |adds, sign, stats| {
-                    stats.rows_checked += 1;
-                    let t = Instant::now();
-                    let spec = wht_with(adds, sign, wht_memo);
-                    stats.convolution_time += t.elapsed();
-                    stats.convolutions += 1;
-                    let t = Instant::now();
-                    let nonzero = adds.nonzero_bdd(t_bdds, spec);
-                    let product = t_bdds.and(nonzero, t_matrix);
-                    stats.verification_time += t.elapsed();
-                    if product != Bdd::FALSE {
-                        let alpha = t_bdds.one_sat(product).expect("satisfiable product");
-                        hit = Some((Mask(alpha), *adds.eval(spec, alpha)));
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                });
-                hit.map(|(m, c)| (m, rowwise_reason(region, vm, m), Some(c)))
-            }
-            CheckMode::Joint => {
-                let mut union = Mask::ZERO;
-                let randoms = vm.random_vars();
-                let _ = drive_signs(adds, &plan, true, stats, &mut |adds, sign, stats| {
-                    stats.rows_checked += 1;
-                    let t = Instant::now();
-                    let spec = wht_with(adds, sign, wht_memo);
-                    stats.convolution_time += t.elapsed();
-                    stats.convolutions += 1;
-                    let t = Instant::now();
-                    let nonzero = adds.nonzero_bdd(t_bdds, spec);
+        let randoms = vm.random_vars();
+        let (mut hit, mut union) = (None, Mask::ZERO);
+        let _ = self
+            .rows
+            .drive(&plan, joint, stats, &mut |signs, &sign, stats| {
+                stats.rows_checked += 1;
+                let t = Instant::now();
+                let spec = wht_with(&mut signs.adds, sign, wht_memo);
+                stats.convolution_time += t.elapsed();
+                stats.convolutions += 1;
+                let t = Instant::now();
+                let nonzero = signs.adds.nonzero_bdd(t_bdds, spec);
+                if joint {
                     union = union | add_support_union(t_bdds, nonzero, &randoms);
                     stats.verification_time += t.elapsed();
-                    ControlFlow::Continue(())
-                });
-                joint_verdict(region, vm, union).map(|(m, r)| (m, r, None))
-            }
-        }
-    }
-
-    /// FUJITA's [`RowPlan`]: sign-ADD groups per site, with the proper
-    /// prefix's accumulated sign products cached like the spectrum paths
-    /// (ADD handles are cheap to store; the nodes live in the context's ADD
-    /// arena, whose growth [`EngineCtx::maybe_collect`] bounds separately).
-    fn sign_plan(
-        &mut self,
-        bdds: &BddManager,
-        combo: &[&Site],
-        idxs: &[usize],
-        joint: bool,
-        stats: &mut CheckStats,
-    ) -> SignPlan {
-        if self.cache_budget == 0 {
-            let groups = combo
-                .iter()
-                .map(|site| self.one_site_signs(bdds, site, stats))
-                .collect();
-            return SignPlan::Dfs(groups);
-        }
-        let groups: Vec<Rc<Vec<Option<Add>>>> = combo
-            .iter()
-            .zip(idxs)
-            .map(|(site, &i)| self.site_signs(bdds, site, i, stats))
-            .collect();
-        let k = groups.len();
-        let rows_estimate = groups[..k - 1]
-            .iter()
-            .map(|g| g.len() + joint as usize)
-            .fold(1usize, usize::saturating_mul);
-        if rows_estimate > MAX_PREFIX_ROWS {
-            let plain = groups
-                .iter()
-                .map(|g| g.iter().flatten().copied().collect())
-                .collect();
-            return SignPlan::Dfs(plain);
-        }
-        let prefix = if k == 1 {
-            Rc::new(vec![None])
+                    return ControlFlow::Continue(());
+                }
+                let product = t_bdds.and(nonzero, t_matrix);
+                stats.verification_time += t.elapsed();
+                if product == Bdd::FALSE {
+                    return ControlFlow::Continue(());
+                }
+                let alpha = t_bdds.one_sat(product).expect("satisfiable product");
+                hit = Some((Mask(alpha), *signs.adds.eval(spec, alpha)));
+                ControlFlow::Break(())
+            });
+        if joint {
+            joint_verdict(region, vm, union).map(|(m, r)| (m, r, None))
         } else {
-            self.prefix_signs(&idxs[..k - 1], &groups[..k - 1], joint, stats)
-        };
-        SignPlan::Prefix(prefix, Rc::clone(&groups[k - 1]))
-    }
-
-    /// Cached per-site sign-ADD group (key `([i], row-wise)` in the ADD
-    /// prefix cache, mirroring [`EngineCtx::site_rows`]).
-    fn site_signs(
-        &mut self,
-        bdds: &BddManager,
-        site: &Site,
-        idx: usize,
-        stats: &mut CheckStats,
-    ) -> Rc<Vec<Option<Add>>> {
-        if let Some(rows) = self.add_prefix.get(&[idx], false) {
-            return rows;
-        }
-        let rows: Rc<Vec<Option<Add>>> = Rc::new(
-            self.one_site_signs(bdds, site, stats)
-                .into_iter()
-                .map(Some)
-                .collect(),
-        );
-        let bytes = rows.len() * 8 + 32;
-        self.add_prefix
-            .insert(&[idx], false, Rc::clone(&rows), bytes);
-        rows
-    }
-
-    /// Sign-ADD products of every non-empty subset of one site's observed
-    /// functions (no cache interaction).
-    fn one_site_signs(
-        &mut self,
-        bdds: &BddManager,
-        site: &Site,
-        stats: &mut CheckStats,
-    ) -> Vec<Add> {
-        let mut out: Vec<Add> = Vec::with_capacity((1 << site.funcs.len()) - 1);
-        for m in 1usize..1 << site.funcs.len() {
-            let low = m.trailing_zeros() as usize;
-            let rest = m & (m - 1);
-            let base = self.sign(bdds, site.funcs[low], stats);
-            let prod = if rest == 0 {
-                base
-            } else {
-                let prev = out[rest - 1];
-                let t = Instant::now();
-                let p = self.adds.mul_op(prev, base);
-                stats.convolution_time += t.elapsed();
-                p
-            };
-            out.push(prod);
-        }
-        out
-    }
-
-    /// Accumulated sign products of the proper prefix `idxs`, analogous to
-    /// [`EngineCtx::prefix_rows`]. `None` is the not-yet-multiplied path
-    /// (the unit constant without materializing it; multiplying by the unit
-    /// would return the identical hash-consed handle anyway).
-    fn prefix_signs(
-        &mut self,
-        idxs: &[usize],
-        groups: &[Rc<Vec<Option<Add>>>],
-        joint: bool,
-        stats: &mut CheckStats,
-    ) -> Rc<Vec<Option<Add>>> {
-        let depth = idxs.len();
-        let (mut level, mut rows) = if joint {
-            (0, Rc::new(vec![None]))
-        } else {
-            (1, Rc::clone(&groups[0]))
-        };
-        for j in ((level + 1)..=depth).rev() {
-            if let Some(r) = self.add_prefix.get(&idxs[..j], joint) {
-                rows = r;
-                level = j;
-                break;
-            }
-        }
-        while level < depth {
-            let group = Rc::clone(&groups[level]);
-            let mut next: Vec<Option<Add>> =
-                Vec::with_capacity(rows.len() * (group.len() + joint as usize));
-            for &r in rows.iter() {
-                if joint {
-                    next.push(r);
-                }
-                for &c in group.iter().flatten() {
-                    match r {
-                        None => next.push(Some(c)),
-                        Some(prev) => {
-                            let t = Instant::now();
-                            let p = self.adds.mul_op(prev, c);
-                            stats.convolution_time += t.elapsed();
-                            next.push(Some(p));
-                        }
-                    }
-                }
-            }
-            let next = Rc::new(next);
-            level += 1;
-            let bytes = next.len() * 8 + 32;
-            self.add_prefix
-                .insert(&idxs[..level], joint, Rc::clone(&next), bytes);
-            rows = next;
-        }
-        rows
-    }
-
-    fn sign(&mut self, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Add {
-        if let Some(&s) = self.sign_base.get(&f) {
-            return s;
-        }
-        let t = Instant::now();
-        let s = sign_add(bdds, &mut self.adds, f);
-        stats.convolution_time += t.elapsed();
-        self.sign_base.insert(f, s);
-        s
-    }
-}
-
-/// Hook giving the generic scan path access to the right base-spectrum and
-/// prefix caches of the context.
-trait SpectrumBase: Sized {
-    fn base(ctx: &mut EngineCtx, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Rc<Self>;
-    fn prefix_cache(ctx: &mut EngineCtx) -> &mut PrefixCache<Rc<RowList<Self>>>;
-}
-
-impl SpectrumBase for MapSpectrum {
-    fn base(ctx: &mut EngineCtx, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Rc<Self> {
-        if let Some(s) = ctx.map_base.get(&f) {
-            return Rc::clone(s);
-        }
-        let t = Instant::now();
-        let sparse = walsh_sparse(bdds, f, &mut ctx.walsh);
-        let s = Rc::new(MapSpectrum::from_map(&sparse));
-        stats.convolution_time += t.elapsed();
-        ctx.map_base.insert(f, Rc::clone(&s));
-        s
-    }
-
-    fn prefix_cache(ctx: &mut EngineCtx) -> &mut PrefixCache<Rc<RowList<Self>>> {
-        &mut ctx.map_prefix
-    }
-}
-
-impl SpectrumBase for LilSpectrum {
-    fn base(ctx: &mut EngineCtx, bdds: &BddManager, f: Bdd, stats: &mut CheckStats) -> Rc<Self> {
-        if let Some(s) = ctx.lil_base.get(&f) {
-            return Rc::clone(s);
-        }
-        let t = Instant::now();
-        let sparse = walsh_sparse(bdds, f, &mut ctx.walsh);
-        let s = Rc::new(LilSpectrum::from_map(&sparse));
-        stats.convolution_time += t.elapsed();
-        ctx.lil_base.insert(f, Rc::clone(&s));
-        s
-    }
-
-    fn prefix_cache(ctx: &mut EngineCtx) -> &mut PrefixCache<Rc<RowList<Self>>> {
-        &mut ctx.lil_prefix
-    }
-}
-
-/// Extends the accumulated prefix rows by one site's group, preserving the
-/// DFS leaf order (rows outer, choices inner; joint mode's empty choice
-/// first). The convolution association is the same left-to-right chain the
-/// DFS computes, so the resulting spectra are identical, not just
-/// equivalent.
-fn extend_rows<S: Spectrum>(
-    rows: &RowList<S>,
-    group: &RowList<S>,
-    joint: bool,
-    dense_cut: u32,
-    stats: &mut CheckStats,
-) -> RowList<S> {
-    let mut out: RowList<S> = Vec::with_capacity(rows.len() * (group.len() + joint as usize));
-    for r in rows {
-        if joint {
-            out.push(r.clone());
-        }
-        for c in group.iter().flatten() {
-            match r {
-                None => out.push(Some(Rc::clone(c))),
-                Some(prev) => {
-                    let t = Instant::now();
-                    let conv = prev.convolve_opt(c, dense_cut);
-                    stats.convolution_time += t.elapsed();
-                    stats.convolutions += 1;
-                    out.push(Some(Rc::new(conv)));
-                }
-            }
+            hit.map(|(m, c)| (m, rowwise_reason(region, vm, m), Some(c)))
         }
     }
-    out
-}
-
-/// Drives `leaf` over every correlation row of a [`RowPlan`], in the same
-/// leaf order either way (the deterministic-witness guarantee depends on
-/// it; see DESIGN.md §9).
-fn drive_rows<S: Spectrum>(
-    plan: &RowPlan<S>,
-    joint: bool,
-    dense_cut: u32,
-    stats: &mut CheckStats,
-    leaf: &mut dyn FnMut(&S, &mut CheckStats) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    match plan {
-        RowPlan::Dfs(groups) => product_rows(groups, joint, dense_cut, stats, leaf),
-        RowPlan::Prefix(rows, group) => stream_rows(rows, group, joint, dense_cut, stats, leaf),
-    }
-}
-
-/// Streams the last convolution level: every prefix row times every choice
-/// of the final site (plus, in joint mode, the prefix row itself for the
-/// final site's empty choice). The all-empty path (`None` row, empty last
-/// choice) is skipped exactly as [`product_rows`] skips its `None`
-/// accumulator.
-fn stream_rows<S: Spectrum>(
-    rows: &RowList<S>,
-    group: &RowList<S>,
-    joint: bool,
-    dense_cut: u32,
-    stats: &mut CheckStats,
-    leaf: &mut dyn FnMut(&S, &mut CheckStats) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    for r in rows {
-        if joint {
-            if let Some(spec) = r {
-                leaf(spec, stats)?;
-            }
-        }
-        for c in group.iter().flatten() {
-            match r {
-                None => leaf(c, stats)?,
-                Some(prev) => {
-                    let t = Instant::now();
-                    let conv = prev.convolve_opt(c, dense_cut);
-                    stats.convolution_time += t.elapsed();
-                    stats.convolutions += 1;
-                    leaf(&conv, stats)?;
-                }
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// [`drive_rows`] for the FUJITA sign-ADD pipeline.
-fn drive_signs(
-    adds: &mut AddManager<Dyadic>,
-    plan: &SignPlan,
-    joint: bool,
-    stats: &mut CheckStats,
-    leaf: &mut SignLeaf<'_>,
-) -> ControlFlow<()> {
-    match plan {
-        SignPlan::Dfs(groups) => {
-            let unit = adds.constant(Dyadic::ONE);
-            product_signs(adds, groups, joint, unit, stats, leaf)
-        }
-        SignPlan::Prefix(rows, group) => stream_signs(adds, rows, group, joint, stats, leaf),
-    }
-}
-
-/// Sign-ADD analogue of [`stream_rows`]. A `None` row times a choice is the
-/// choice itself — multiplying by the unit constant would return the same
-/// hash-consed handle, so skipping it changes nothing but the cost.
-fn stream_signs(
-    adds: &mut AddManager<Dyadic>,
-    rows: &[Option<Add>],
-    group: &[Option<Add>],
-    joint: bool,
-    stats: &mut CheckStats,
-    leaf: &mut SignLeaf<'_>,
-) -> ControlFlow<()> {
-    for &r in rows {
-        if joint {
-            if let Some(sign) = r {
-                leaf(adds, sign, stats)?;
-            }
-        }
-        for &c in group.iter().flatten() {
-            match r {
-                None => leaf(adds, c, stats)?,
-                Some(prev) => {
-                    let t = Instant::now();
-                    let prod = adds.mul_op(prev, c);
-                    stats.convolution_time += t.elapsed();
-                    leaf(adds, prod, stats)?;
-                }
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// Walks the cartesian product of per-site row choices, convolving along the
-/// path. With `include_empty`, each site may also contribute nothing (used
-/// by joint mode to reach every ω), except the all-empty row.
-fn product_rows<S: Spectrum>(
-    groups: &[Vec<Rc<S>>],
-    include_empty: bool,
-    dense_cut: u32,
-    stats: &mut CheckStats,
-    leaf: &mut dyn FnMut(&S, &mut CheckStats) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    fn rec<S: Spectrum>(
-        groups: &[Vec<Rc<S>>],
-        idx: usize,
-        acc: Option<&S>,
-        include_empty: bool,
-        dense_cut: u32,
-        stats: &mut CheckStats,
-        leaf: &mut dyn FnMut(&S, &mut CheckStats) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if idx == groups.len() {
-            return match acc {
-                Some(spec) => leaf(spec, stats),
-                None => ControlFlow::Continue(()),
-            };
-        }
-        if include_empty {
-            rec(groups, idx + 1, acc, include_empty, dense_cut, stats, leaf)?;
-        }
-        for choice in &groups[idx] {
-            match acc {
-                None => rec(
-                    groups,
-                    idx + 1,
-                    Some(choice),
-                    include_empty,
-                    dense_cut,
-                    stats,
-                    leaf,
-                )?,
-                Some(prev) => {
-                    let t = Instant::now();
-                    let conv = prev.convolve_opt(choice, dense_cut);
-                    stats.convolution_time += t.elapsed();
-                    stats.convolutions += 1;
-                    rec(
-                        groups,
-                        idx + 1,
-                        Some(&conv),
-                        include_empty,
-                        dense_cut,
-                        stats,
-                        leaf,
-                    )?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-    rec(groups, 0, None, include_empty, dense_cut, stats, leaf)
-}
-
-/// Leaf callback of [`product_signs`]: receives the manager, the
-/// accumulated sign-ADD product, and the stats counters.
-type SignLeaf<'a> =
-    dyn FnMut(&mut AddManager<Dyadic>, Add, &mut CheckStats) -> ControlFlow<()> + 'a;
-
-/// ADD analogue of [`product_rows`] for the FUJITA engine: multiplies sign
-/// ADDs along the product walk.
-fn product_signs(
-    adds: &mut AddManager<Dyadic>,
-    groups: &[Vec<Add>],
-    include_empty: bool,
-    unit: Add,
-    stats: &mut CheckStats,
-    leaf: &mut SignLeaf<'_>,
-) -> ControlFlow<()> {
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        adds: &mut AddManager<Dyadic>,
-        groups: &[Vec<Add>],
-        idx: usize,
-        acc: Add,
-        any: bool,
-        include_empty: bool,
-        stats: &mut CheckStats,
-        leaf: &mut SignLeaf<'_>,
-    ) -> ControlFlow<()> {
-        if idx == groups.len() {
-            if any {
-                return leaf(adds, acc, stats);
-            }
-            return ControlFlow::Continue(());
-        }
-        if include_empty {
-            rec(adds, groups, idx + 1, acc, any, include_empty, stats, leaf)?;
-        }
-        for i in 0..groups[idx].len() {
-            let choice = groups[idx][i];
-            let t = Instant::now();
-            let prod = adds.mul_op(acc, choice);
-            stats.convolution_time += t.elapsed();
-            rec(
-                adds,
-                groups,
-                idx + 1,
-                prod,
-                true,
-                include_empty,
-                stats,
-                leaf,
-            )?;
-        }
-        ControlFlow::Continue(())
-    }
-    rec(adds, groups, 0, unit, false, include_empty, stats, leaf)
 }
 
 /// Union of coordinates of a non-zero-support BDD after forcing `ρ = 0`:
@@ -2005,51 +1666,6 @@ fn joint_verdict(region: &Region, vm: &VarMap, union: Mask) -> Option<(Mask, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn combination_enumeration_is_exhaustive() {
-        let mut seen = Vec::new();
-        let _ = for_each_combination(5, 3, &mut |c| {
-            seen.push(c.to_vec());
-            ControlFlow::Continue(())
-        });
-        assert_eq!(seen.len(), 10);
-        assert_eq!(seen[0], vec![0, 1, 2]);
-        assert_eq!(seen[9], vec![2, 3, 4]);
-        // Early break stops enumeration.
-        let mut count = 0;
-        let flow = for_each_combination(5, 2, &mut |_| {
-            count += 1;
-            if count == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert!(flow.is_break());
-        assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn degenerate_combinations() {
-        let mut n = 0;
-        let _ = for_each_combination(3, 0, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(n, 0);
-        let _ = for_each_combination(2, 5, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(n, 0);
-        let _ = for_each_combination(3, 3, &mut |c| {
-            assert_eq!(c, [0, 1, 2]);
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(n, 1);
-    }
 
     #[test]
     fn engine_kind_display() {

@@ -111,10 +111,7 @@ impl JobSpec {
         obj.insert("threads".into(), Json::Int(self.threads() as i64));
         obj.insert(
             "cache".into(),
-            Json::obj([
-                ("enabled", Json::Bool(self.options.cache)),
-                ("budget_bytes", Json::Int(self.options.cache_budget as i64)),
-            ]),
+            Json::obj([("budget_bytes", Json::Int(self.options.cache_budget as i64))]),
         );
         // The dense-kernel cut is configuration, not identity: the dense
         // spectral kernels are exact (DESIGN.md §17), so it cannot change a
@@ -298,14 +295,18 @@ impl JobSpec {
             }
         }
         if let Some(cache) = doc.get("cache") {
-            if let Some(v) = cache.get("enabled") {
-                o.cache = v.as_bool().ok_or_else(|| bad("cache.enabled"))?;
-            }
             if let Some(v) = cache.get("budget_bytes") {
                 o.cache_budget = v
                     .as_u64()
                     .and_then(|n| usize::try_from(n).ok())
                     .ok_or_else(|| bad("cache.budget_bytes"))?;
+            }
+            // Specs written while caching had an on/off switch may carry
+            // `"enabled": false`, which always meant a zero budget.
+            if let Some(v) = cache.get("enabled") {
+                if !v.as_bool().ok_or_else(|| bad("cache.enabled"))? {
+                    o.cache_budget = 0;
+                }
             }
         }
         if let Some(rescue) = doc.get("rescue") {
@@ -541,8 +542,7 @@ mod tests {
         let a = spec();
         let mut b = spec();
         b.threads = 1;
-        b.options.cache = false;
-        b.options.cache_budget = 7;
+        b.options.cache_budget = 0;
         assert_eq!(a.identity_hash(), b.identity_hash());
         assert_ne!(
             a.to_json().to_canonical(),
@@ -617,6 +617,36 @@ mod tests {
     }
 
     #[test]
+    fn retired_cache_switch_maps_to_a_zero_budget() {
+        // Specs written while caching had an on/off switch carry
+        // `"cache":{"enabled":…}`: `false` parses to a zero budget, `true`
+        // keeps the stored budget, neither changes the job identity, and
+        // `to_json` writes the budget alone.
+        let with_cache = |cache: Option<&str>| {
+            let Json::Obj(mut doc) = spec().to_json() else {
+                unreachable!("to_json builds an object")
+            };
+            match cache {
+                Some(c) => doc.insert("cache".into(), json::parse(c).expect("valid")),
+                None => doc.remove("cache"),
+            };
+            JobSpec::parse(&Json::Obj(doc)).expect("parses")
+        };
+        let bare = with_cache(None);
+        let off = with_cache(Some(r#"{"enabled":false,"budget_bytes":4096}"#));
+        let on = with_cache(Some(r#"{"enabled":true,"budget_bytes":4096}"#));
+        assert_eq!(off.options.cache_budget, 0);
+        assert_eq!(on.options.cache_budget, 4096);
+        for back in [&off, &on] {
+            assert_eq!(back.identity_hash(), bare.identity_hash());
+        }
+        assert_eq!(
+            on.to_json().get("cache").map(Json::to_canonical).as_deref(),
+            Some(r#"{"budget_bytes":4096}"#)
+        );
+    }
+
+    #[test]
     fn identities_are_pinned() {
         // Job ids, report/5 artifacts and checkpoints written by earlier
         // releases must keep naming the same runs.
@@ -656,6 +686,7 @@ mod tests {
             r#"{"property":{"kind":"sni","order":1},"mode":7}"#,
             r#"{"property":{"kind":"sni","order":1},"sites":{"probe_model":"x"}}"#,
             r#"{"property":{"kind":"sni","order":1},"presift":true}"#,
+            r#"{"property":{"kind":"sni","order":1},"cache":{"enabled":"no"}}"#,
         ] {
             let doc = json::parse(bad).expect("valid json");
             assert!(JobSpec::parse(&doc).is_err(), "{bad} must be rejected");

@@ -280,7 +280,7 @@ pub struct ReportCacheConfig {
 impl From<&crate::engine::VerifyOptions> for ReportCacheConfig {
     fn from(options: &crate::engine::VerifyOptions) -> Self {
         ReportCacheConfig {
-            enabled: options.cache && options.cache_budget > 0,
+            enabled: options.cache_budget > 0,
             budget_bytes: options.cache_budget,
         }
     }

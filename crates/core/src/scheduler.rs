@@ -403,7 +403,7 @@ type Quarantined = (u64, Vec<usize>, IncompleteReason);
 
 /// Advances `idxs` to the next `k`-combination of `0..n` in lexicographic
 /// order; returns `false` when `idxs` was the last one.
-fn next_combination(idxs: &mut [usize], n: usize) -> bool {
+pub(crate) fn next_combination(idxs: &mut [usize], n: usize) -> bool {
     let k = idxs.len();
     let mut i = k;
     loop {

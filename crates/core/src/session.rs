@@ -139,16 +139,11 @@ impl Session {
         self
     }
 
-    /// Prefix-shared convolution caching on/off (on by default). Purely a
-    /// time/memory trade: verdicts and witnesses are identical either way.
-    #[must_use]
-    pub fn cache(mut self, on: bool) -> Self {
-        self.job.spec_mut().options.cache = on;
-        self
-    }
-
     /// Byte budget of each worker's prefix cache (least-recently-used
-    /// eviction above it; `0` disables caching).
+    /// eviction above it; `0` disables prefix caching). The same budget
+    /// separately bounds the engine's spectral memo (see
+    /// [`VerifyOptions::cache_budget`]). Purely a time/memory trade:
+    /// verdicts and witnesses are identical at any budget.
     #[must_use]
     pub fn cache_budget(mut self, bytes: usize) -> Self {
         self.job.spec_mut().options.cache_budget = bytes;

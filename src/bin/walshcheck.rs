@@ -27,8 +27,9 @@
 //!   --threads N                      parallel verification (work-stealing)
 //!   --time-limit SECS                abort with a partial verdict
 //!   --no-prefilter                   disable the functional-support prefilter
-//!   --no-cache                       disable prefix-shared convolution caching
-//!   --cache-budget BYTES             per-worker prefix-cache budget
+//!   --cache-budget BYTES             per-worker prefix-cache budget (default
+//!                                    64 MiB; 0 disables prefix caching); also
+//!                                    bounds the engine's spectral memo
 //!   --node-budget NODES              per-combination decision-diagram cap;
 //!                                    over-budget combinations are quarantined
 //!   --dense-cut N                    spectral functions with support ≤ N take
@@ -167,7 +168,6 @@ struct Cli {
     threads: usize,
     time_limit: Option<std::time::Duration>,
     prefilter: bool,
-    cache: bool,
     cache_budget: Option<usize>,
     node_budget: Option<usize>,
     dense_cut: Option<u32>,
@@ -192,7 +192,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
         threads: 1,
         time_limit: None,
         prefilter: true,
-        cache: true,
         cache_budget: None,
         node_budget: None,
         dense_cut: None,
@@ -244,7 +243,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
                 cli.time_limit = Some(std::time::Duration::from_secs(secs));
             }
             "--no-prefilter" => cli.prefilter = false,
-            "--no-cache" => cli.cache = false,
             "--cache-budget" => {
                 cli.cache_budget = Some(
                     value("--cache-budget")?
@@ -431,8 +429,7 @@ fn spec_from_cli(netlist: &Netlist, cli: &Cli) -> Result<JobSpec, Error> {
     let mut builder = VerifyOptions::builder()
         .engine(cli.engine)
         .mode(cli.mode)
-        .prefilter(cli.prefilter)
-        .cache(cli.cache);
+        .prefilter(cli.prefilter);
     if let Some(bytes) = cli.cache_budget {
         builder = builder.cache_budget(bytes);
     }
@@ -1088,7 +1085,7 @@ fn main() -> ExitCode {
                  options: --property probing|ni|sni|pini  --order D\n\
                  \x20        --engine lil|map|mapi|fujita    --mode rowwise|joint\n\
                  \x20        --glitch  --threads N  --time-limit SECS  --no-prefilter\n\
-                 \x20        --no-cache  --cache-budget BYTES  --node-budget NODES\n\
+                 \x20        --cache-budget BYTES (0 disables)  --node-budget NODES\n\
                  \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
                  \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
                  \x20        --dense-cut N  --minimize  --progress  --json\n\n\

@@ -99,10 +99,12 @@ fn errors_are_reported_cleanly() {
     assert!(stderr.contains("unknown engine"), "{stderr}");
     let (_, _, code) = walshcheck(&["frobnicate"]);
     assert_eq!(code, Some(3));
-    // Sifting runs only on the rescue ladder; its old flags are gone.
+    // Sifting runs only on the rescue ladder and `--cache-budget 0`
+    // replaces `--no-cache`; the old flags are gone.
     for line in [
         "check bench:dom-1 --presift",
         "check bench:dom-1 --sift auto",
+        "check bench:dom-1 --no-cache",
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         let (_, stderr, code) = walshcheck(&args);
@@ -307,7 +309,7 @@ fn json_report_for_insecure_gadget_carries_the_witness() {
 }
 
 #[test]
-fn no_cache_flag_disables_caching_without_changing_the_verdict() {
+fn zero_cache_budget_disables_caching_without_changing_the_verdict() {
     let cached = walshcheck(&["check", "bench:dom-2", "--property", "sni", "--json"]);
     let uncached = walshcheck(&[
         "check",
@@ -315,7 +317,8 @@ fn no_cache_flag_disables_caching_without_changing_the_verdict() {
         "--property",
         "sni",
         "--json",
-        "--no-cache",
+        "--cache-budget",
+        "0",
     ]);
     assert_eq!(cached.2, Some(0), "{}", cached.0);
     assert_eq!(uncached.2, Some(0), "{}", uncached.0);

@@ -2,7 +2,9 @@
 //! distribution oracle on every gadget small enough to enumerate.
 
 use walshcheck::prelude::*;
+use walshcheck_core::engine::DEFAULT_CACHE_BUDGET;
 use walshcheck_core::exhaustive::exhaustive_check;
+use walshcheck_core::property::ProbeRef;
 use walshcheck_core::sites::SiteOptions;
 use walshcheck_gadgets::composition::{composition_fig1, composition_independent};
 use walshcheck_gadgets::isw::{isw_and, isw_and_broken};
@@ -56,6 +58,82 @@ fn all_engines_match_the_oracle_on_sni_and_ni() {
                     assert_eq!(
                         got, oracle,
                         "{name} {prop:?} {engine} {mode:?} disagrees with oracle"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Four gates over one secret `x` (two shares) and one random `r`:
+/// `q[0] = Maj(x0, x1, r)` and `q[1] = x1 ^ r`. Returns the netlist and the
+/// probe on `q[0]`.
+fn maj_circuit() -> (Netlist, ProbeRef) {
+    let mut b = NetlistBuilder::new("maj");
+    let x = b.secret("x");
+    let x0 = b.share(x, 0);
+    let x1 = b.share(x, 1);
+    let r = b.random("r");
+    let w1 = b.xor(x1, r);
+    let w2 = b.and(x0, w1);
+    let w3 = b.and(x1, r);
+    let m = b.xor(w2, w3);
+    let q = b.output("q");
+    b.output_share(m, q, 0);
+    b.output_share(w1, q, 1);
+    let q0 = ProbeRef::Output {
+        wire: m,
+        output: q,
+        index: 0,
+    };
+    (b.build().expect("valid"), q0)
+}
+
+#[test]
+fn maj_circuit_pins_the_joint_union_of_supports_test() {
+    // At ρ = 0 the spectrum of q[0] is non-zero only at {x0} and {x1}: each
+    // coefficient fits NI(1)'s share budget, their union does not. No zoo
+    // gadget separates the modes, so this is the circuit that pins the
+    // joint paths' union test on every engine, with and without the prefix
+    // cache.
+    let (netlist, q0) = maj_circuit();
+    let oracle = |prop| {
+        exhaustive_check(&netlist, prop, &SiteOptions::default())
+            .expect("small gadget")
+            .secure
+    };
+    assert!(!oracle(Property::Ni(1)));
+    assert!(!oracle(Property::Sni(1)));
+    assert!(!oracle(Property::Pini(1)));
+    assert!(oracle(Property::Probing(1)));
+    for engine in engines() {
+        for budget in [DEFAULT_CACHE_BUDGET, 0] {
+            let opts = |mode| {
+                VerifyOptions::builder()
+                    .engine(engine)
+                    .mode(mode)
+                    .cache_budget(budget)
+                    .build()
+            };
+            let joint = Session::new(&netlist)
+                .expect("valid")
+                .options(opts(CheckMode::Joint))
+                .property(Property::Ni(1))
+                .run();
+            let witness = joint.witness.expect("joint NI(1) is violated");
+            assert_eq!(
+                witness.combination,
+                std::slice::from_ref(&q0),
+                "{engine} budget {budget}"
+            );
+            // Row-wise NI(1) is left unasserted: it reports secure, the known
+            // unsoundness of the per-coefficient test for NI.
+            for mode in [CheckMode::Joint, CheckMode::RowWise] {
+                for prop in [Property::Sni(1), Property::Pini(1), Property::Probing(1)] {
+                    assert_eq!(
+                        run(&netlist, prop, opts(mode)),
+                        oracle(prop),
+                        "maj {prop:?} {engine} {mode:?} budget {budget} disagrees with oracle"
                     );
                 }
             }

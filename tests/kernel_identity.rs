@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 
+use walshcheck::core::engine::DEFAULT_CACHE_BUDGET;
 use walshcheck::prelude::*;
 
 fn engines() -> [EngineKind; 4] {
@@ -43,7 +44,7 @@ fn fingerprint(label: &str, n: &Netlist, prop: Property, paper: bool, out: &mut 
                     .engine(engine)
                     .property(prop)
                     .threads(threads)
-                    .cache(cache);
+                    .cache_budget(if cache { DEFAULT_CACHE_BUDGET } else { 0 });
                 if paper {
                     session = session.mode(CheckMode::RowWise).prefilter(false);
                 }

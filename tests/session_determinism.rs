@@ -15,6 +15,7 @@
 //! witness must be byte-identical with the cache on, off, or thrashing
 //! under a tiny budget — at any thread count.
 
+use walshcheck::core::engine::DEFAULT_CACHE_BUDGET;
 use walshcheck::core::{Job, JobSpec, Report};
 use walshcheck::prelude::*;
 use walshcheck_gadgets::composition::composition_fig1;
@@ -143,17 +144,17 @@ fn assert_cache_transparent(
     engine: EngineKind,
     threads: usize,
 ) {
-    let run = |cache: bool| {
+    let run = |cache_budget: usize| {
         Session::new(n)
             .expect("valid")
             .engine(engine)
             .property(prop)
-            .cache(cache)
+            .cache_budget(cache_budget)
             .threads(threads)
             .run()
     };
-    let cached = run(true);
-    let uncached = run(false);
+    let cached = run(DEFAULT_CACHE_BUDGET);
+    let uncached = run(0);
     assert_eq!(
         cached.secure, uncached.secure,
         "{label} {prop:?} {engine} t{threads}: cache flipped the verdict"
@@ -275,7 +276,9 @@ fn report_artifacts_are_byte_identical_across_thread_counts() {
         let artifact = |threads: usize, cache: bool| {
             let mut spec = JobSpec::new(prop);
             spec.threads = threads;
-            spec.options.cache = cache;
+            if !cache {
+                spec.options.cache_budget = 0;
+            }
             let mut job = Job::new(&n, spec).expect("valid");
             let verdict = job.run();
             let report = Report::new(&n, job.spec(), &verdict);
