@@ -12,8 +12,12 @@
 //! identical to an uninterrupted run.
 //!
 //! Combinations are stored as site-index vectors, not serialized witnesses:
-//! masks and coefficients are recomputed on demand from the (fingerprinted)
-//! netlist, which keeps the format small and engine-representation-free.
+//! masks and coefficients are recomputed from the (fingerprinted) netlist,
+//! which keeps the format small and engine-representation-free. Quarantines
+//! the rescue pass resolved are stored with their resolution and attempt
+//! log, so a resumed run carries them instead of replaying their ladders
+//! (layout revision 2). A file is admitted only if its evidence fits the
+//! run ([`Checkpoint::admit`]).
 //!
 //! Writes are atomic *and durable* (temp file + fsync + rename + parent
 //! directory fsync, via [`crate::iofs::atomic_replace`]), so a kill or
@@ -28,14 +32,23 @@ use std::time::Duration;
 use walshcheck_circuit::ilang::write_ilang;
 use walshcheck_circuit::netlist::Netlist;
 
-use crate::engine::VerifyOptions;
+use crate::engine::{Verifier, VerifyOptions};
 use crate::error::Error;
 use crate::json::{self, Json};
-use crate::property::{IncompleteReason, Property};
+use crate::property::{IncompleteReason, Property, Witness};
+use crate::recover::{RescueAttempt, RescueResolution};
 use crate::report::json_escape;
+use crate::scheduler::{binomial, bucket_sizes, bucket_total, recompute_witness};
 
 /// Schema tag of the checkpoint format.
 pub const CHECKPOINT_SCHEMA: &str = "walshcheck-checkpoint/1";
+
+/// Layout revision written under [`CHECKPOINT_SCHEMA`]. Revision 2 records
+/// every rescue resolution, violated ones too, with its attempt log. Files
+/// without a `"revision"` key are revision 1 (0.3.0): their `rescued`
+/// entries carry no log, and a violation their rescue pass found is stored
+/// only as a candidate, indistinguishable from one the sweep found.
+const REVISION: u64 = 2;
 
 /// Where and how often a run persists its progress.
 #[derive(Debug, Clone)]
@@ -110,7 +123,27 @@ impl RangeSet {
     }
 }
 
-/// In-memory form of a parsed (or about-to-be-written) checkpoint.
+/// A quarantine the rescue pass resolved: where it sits, why the sweep
+/// skipped it, and how its ladder ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Rescued {
+    pub(crate) index: u64,
+    pub(crate) sites: Vec<usize>,
+    pub(crate) reason: IncompleteReason,
+    /// Clean or violated (unresolved quarantines stay in `skipped`).
+    pub(crate) resolution: RescueResolution,
+    pub(crate) attempts: Vec<RescueAttempt>,
+}
+
+/// A violation candidate: global index, site indices, and the witness
+/// (`None` until recomputed; checkpoints store no witnesses).
+pub(crate) type Candidate = (u64, Vec<usize>, Option<Witness>);
+
+/// A quarantined combination: global index, site indices, reason.
+pub(crate) type Quarantined = (u64, Vec<usize>, IncompleteReason);
+
+/// In-memory form of a parsed (or about-to-be-written) checkpoint, and,
+/// once [`Checkpoint::admit`]ted, the state a resumed run is seeded from.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Checkpoint {
     pub(crate) fingerprint: String,
@@ -121,64 +154,108 @@ pub(crate) struct Checkpoint {
     /// Prefilter prunes within completed batches.
     pub(crate) pruned: u64,
     pub(crate) completed: RangeSet,
-    /// Violation candidates: `(global index, site indices)`.
-    pub(crate) candidates: Vec<(u64, Vec<usize>)>,
-    /// Quarantined combinations: `(global index, site indices, reason)`.
-    pub(crate) skipped: Vec<(u64, Vec<usize>, IncompleteReason)>,
-    /// Quarantines the rescue pass already resolved as clean, with the
-    /// reason they were originally skipped for. Kept out of `skipped` so a
-    /// resumed run does not replay their escalation ladders. Absent in
-    /// files written before rescue existed — parsed as empty.
-    pub(crate) rescued: Vec<(u64, Vec<usize>, IncompleteReason)>,
-}
-
-/// What the scheduler needs to resume: the frontier plus seeded evidence,
-/// already filtered down to completed ranges (anything outside them will be
-/// re-discovered deterministically by the resumed sweep).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ResumeState {
-    pub(crate) completed: RangeSet,
-    pub(crate) combinations: u64,
-    pub(crate) pruned: u64,
-    pub(crate) candidates: Vec<(u64, Vec<usize>)>,
-    pub(crate) skipped: Vec<(u64, Vec<usize>, IncompleteReason)>,
-    pub(crate) rescued: Vec<(u64, Vec<usize>, IncompleteReason)>,
+    pub(crate) candidates: Vec<Candidate>,
+    pub(crate) skipped: Vec<Quarantined>,
+    /// Quarantines the rescue pass already resolved. Kept out of
+    /// `skipped` so a resumed run does not replay their escalation ladders.
+    /// Absent in files written before rescue existed — parsed as empty.
+    pub(crate) rescued: Vec<Rescued>,
 }
 
 impl Checkpoint {
-    pub(crate) fn into_resume(self) -> ResumeState {
-        let completed = self.completed;
-        let candidates = self
-            .candidates
-            .into_iter()
-            .filter(|&(i, _)| completed.contains(i))
-            .collect();
-        let skipped = self
-            .skipped
-            .into_iter()
-            .filter(|&(i, _, _)| completed.contains(i))
-            .collect();
-        let rescued = self
-            .rescued
-            .into_iter()
-            .filter(|&(i, _, _)| completed.contains(i))
-            .collect();
-        ResumeState {
-            completed,
-            combinations: self.combinations,
-            pruned: self.pruned,
-            candidates,
-            skipped,
-            rescued,
+    /// Checks that the file's evidence fits this run and narrows it to the
+    /// completed frontier (the resumed sweep re-discovers anything outside
+    /// it). Every entry must name a combination of the run (strictly
+    /// increasing, in-range sites of a swept size) at its own enumeration
+    /// index; `combinations` must fit the space and `pruned` must fit
+    /// `combinations`; every candidate must still violate, and its
+    /// recomputed witness seeds the run; a `rescued` entry shares its index
+    /// with a candidate exactly when its resolution is violated.
+    pub(crate) fn admit(
+        mut self,
+        verifier: &Verifier,
+        property: Property,
+        options: &VerifyOptions,
+    ) -> Result<Checkpoint, Error> {
+        let n = verifier.begin_enumeration(property, options).sites.len();
+        let sizes = bucket_sizes(property, options, n);
+        let total = bucket_total(&sizes, n);
+        if self.combinations > total || self.pruned > self.combinations {
+            return Err(Error::Checkpoint(format!(
+                "counters do not fit this run: {} combinations ({} pruned) of {total}",
+                self.combinations, self.pruned
+            )));
         }
+        let entries = self
+            .candidates
+            .iter()
+            .map(|(i, s, _)| (*i, s))
+            .chain(self.skipped.iter().map(|(i, s, _)| (*i, s)))
+            .chain(self.rescued.iter().map(|r| (r.index, &r.sites)));
+        for (index, sites) in entries {
+            if combination_index(&sizes, n, sites) != Some(index) {
+                return Err(Error::Checkpoint(format!(
+                    "entry {index} with sites {sites:?} is not that combination of this run"
+                )));
+            }
+        }
+        let completed = &self.completed;
+        self.rescued.retain(|r| completed.contains(r.index));
+        self.skipped.retain(|&(i, _, _)| completed.contains(i));
+        self.candidates.retain(|&(i, _, _)| completed.contains(i));
+        for r in &self.rescued {
+            let violated = r.resolution == RescueResolution::Violated;
+            if violated != self.candidates.iter().any(|&(i, _, _)| i == r.index) {
+                return Err(Error::Checkpoint(format!(
+                    "rescued entry {} is {} but {} a candidate",
+                    r.index,
+                    r.resolution.as_str(),
+                    if violated { "is not" } else { "is also" }
+                )));
+            }
+        }
+        for (index, sites, witness) in &mut self.candidates {
+            *witness = recompute_witness(verifier, property, options, sites);
+            if witness.is_none() {
+                return Err(Error::Checkpoint(format!(
+                    "candidate {index} does not violate {property}"
+                )));
+            }
+        }
+        Ok(self)
     }
+}
+
+/// The global enumeration index of `sites` in a run over `n` sites whose
+/// size buckets are enumerated in `sizes` order: the bucket's offset plus
+/// the lexicographic rank of `sites` among the bucket's combinations.
+/// `None` unless `sites` is strictly increasing, in range and of a swept
+/// size.
+fn combination_index(sizes: &[usize], n: usize, sites: &[usize]) -> Option<u64> {
+    let k = sites.len();
+    let bucket = sizes.iter().position(|&s| s == k)?;
+    let in_range = sites.last().is_some_and(|&last| last < n);
+    if !in_range || sites.windows(2).any(|w| w[0] >= w[1]) {
+        return None;
+    }
+    let mut index = bucket_total(&sizes[..bucket], n);
+    let mut next = 0;
+    for (i, &site) in sites.iter().enumerate() {
+        // Every combination that agrees up to position `i` and puts a
+        // smaller site there comes first.
+        for skipped in next..site {
+            index = index.saturating_add(binomial(n - 1 - skipped, k - 1 - i));
+        }
+        next = site + 1;
+    }
+    Some(index)
 }
 
 /// 64-bit FNV-1a over the canonical run identity: the netlist's ILANG dump,
 /// the property, and every option that influences the enumeration order or
 /// per-combination results (engine, mode, site extraction, prefilter,
-/// largest-first, node budget), plus a constant `false` where the retired
-/// presift flag stood, so existing checkpoints keep their fingerprint.
+/// largest-first, node budget), plus a constant `false` where a retired
+/// flag stood, so existing checkpoints keep their fingerprint.
 /// Deliberately excluded:
 /// `time_limit` (a resumed run usually changes it), `threads` (results are
 /// thread-count independent by design) and the prefix cache knobs (proven
@@ -213,7 +290,7 @@ pub(crate) fn render(ck: &Checkpoint) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"schema\":\"");
     out.push_str(CHECKPOINT_SCHEMA);
-    out.push_str("\",\"fingerprint\":\"");
+    out.push_str(&format!("\",\"revision\":{REVISION},\"fingerprint\":\""));
     out.push_str(&json_escape(&ck.fingerprint));
     out.push_str("\",\"property\":\"");
     out.push_str(&json_escape(&ck.property));
@@ -229,7 +306,7 @@ pub(crate) fn render(ck: &Checkpoint) -> String {
         out.push_str(&format!("[{s},{e}]"));
     }
     out.push_str("],\"candidates\":[");
-    for (i, (index, sites)) in ck.candidates.iter().enumerate() {
+    for (i, (index, sites, _)) in ck.candidates.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -250,14 +327,18 @@ pub(crate) fn render(ck: &Checkpoint) -> String {
         ));
     }
     out.push_str("],\"rescued\":[");
-    for (i, (index, sites, reason)) in ck.rescued.iter().enumerate() {
+    for (i, r) in ck.rescued.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        let attempts: Vec<String> = r.attempts.iter().map(RescueAttempt::to_json).collect();
         out.push_str(&format!(
-            "{{\"index\":{index},\"sites\":{},\"reason\":\"{}\"}}",
-            render_usize_list(sites),
-            reason.as_str()
+            "{{\"index\":{},\"sites\":{},\"reason\":\"{}\",\"resolution\":\"{}\",\"attempts\":[{}]}}",
+            r.index,
+            render_usize_list(&r.sites),
+            r.reason.as_str(),
+            r.resolution.as_str(),
+            attempts.join(",")
         ));
     }
     out.push_str("]}");
@@ -278,7 +359,10 @@ fn render_usize_list(v: &[usize]) -> String {
 
 /// Parses and structurally validates a checkpoint document. Fingerprint
 /// *matching* is the caller's job ([`crate::Session::resume_from`]) — the
-/// parser has no netlist to compare against.
+/// parser has no netlist to compare against. A revision-1 file that has a
+/// `rescued` array and a candidate inside its frontier is refused: the
+/// candidate may be a violation its rescue pass found, whose record that
+/// revision did not keep, and no resume could restore it exactly.
 pub(crate) fn parse(text: &str) -> Result<Checkpoint, Error> {
     let doc = json::parse(text).map_err(Error::Checkpoint)?;
     let schema = doc
@@ -290,6 +374,11 @@ pub(crate) fn parse(text: &str) -> Result<Checkpoint, Error> {
             "unsupported schema {schema:?} (expected {CHECKPOINT_SCHEMA:?})"
         )));
     }
+    let revision_1 = match doc.get("revision") {
+        None => true,
+        Some(r) if r.as_u64() == Some(REVISION) => false,
+        Some(_) => return Err(Error::Checkpoint("unsupported revision".into())),
+    };
     let str_field = |key: &str| -> Result<String, Error> {
         doc.get(key)
             .and_then(Json::as_str)
@@ -349,29 +438,57 @@ pub(crate) fn parse(text: &str) -> Result<Checkpoint, Error> {
 
     let mut candidates = Vec::new();
     for entry in arr_field("candidates")? {
-        candidates.push((index_of(entry)?, sites_of(entry)?));
+        candidates.push((index_of(entry)?, sites_of(entry)?, None));
     }
-    let mut skipped = Vec::new();
-    for entry in arr_field("skipped")? {
-        let reason = entry
+    let reason_of = |entry: &Json| -> Result<IncompleteReason, Error> {
+        entry
             .get("reason")
             .and_then(Json::as_str)
             .and_then(IncompleteReason::parse)
-            .ok_or_else(|| Error::Checkpoint("entry has unknown reason".into()))?;
-        skipped.push((index_of(entry)?, sites_of(entry)?, reason));
+            .ok_or_else(|| Error::Checkpoint("entry has unknown reason".into()))
+    };
+    let mut skipped = Vec::new();
+    for entry in arr_field("skipped")? {
+        skipped.push((index_of(entry)?, sites_of(entry)?, reason_of(entry)?));
     }
     // Tolerant of files written before the rescue pass existed: the array
-    // is simply absent there.
+    // is simply absent there, and every candidate is the sweep's.
+    let rescued_field = doc.get("rescued").and_then(Json::as_arr);
+    if revision_1
+        && rescued_field.is_some()
+        && candidates.iter().any(|&(i, _, _)| completed.contains(i))
+    {
+        return Err(Error::Checkpoint(
+            "a revision-1 file holds a violation without saying whether its rescue \
+             pass found it, so it cannot be resumed exactly; rerun without resuming"
+                .into(),
+        ));
+    }
     let mut rescued = Vec::new();
-    if let Some(entries) = doc.get("rescued").and_then(Json::as_arr) {
-        for entry in entries {
-            let reason = entry
-                .get("reason")
-                .and_then(Json::as_str)
-                .and_then(IncompleteReason::parse)
-                .ok_or_else(|| Error::Checkpoint("entry has unknown reason".into()))?;
-            rescued.push((index_of(entry)?, sites_of(entry)?, reason));
-        }
+    for entry in rescued_field.unwrap_or(&[]) {
+        let (index, sites, reason) = (index_of(entry)?, sites_of(entry)?, reason_of(entry)?);
+        // 0.3.0 files recorded no attempt log: their deterministic ladders
+        // replay on resume, exactly as a still-quarantined entry's would.
+        let Some(attempts) = entry.get("attempts").and_then(Json::as_arr) else {
+            skipped.push((index, sites, reason));
+            continue;
+        };
+        let resolution = entry
+            .get("resolution")
+            .and_then(Json::as_str)
+            .and_then(RescueResolution::parse)
+            .filter(|&r| r != RescueResolution::Unresolved);
+        let attempts: Option<Vec<_>> = attempts.iter().map(RescueAttempt::from_json).collect();
+        let (Some(resolution), Some(attempts)) = (resolution, attempts) else {
+            return Err(Error::Checkpoint("bad rescue record".into()));
+        };
+        rescued.push(Rescued {
+            index,
+            sites,
+            reason,
+            resolution,
+            attempts,
+        });
     }
 
     Ok(Checkpoint {
@@ -389,6 +506,8 @@ pub(crate) fn parse(text: &str) -> Result<Checkpoint, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
+    use crate::recover::{RescueAttemptOutcome, RescueRung};
 
     #[test]
     fn range_set_merges_and_queries() {
@@ -414,15 +533,33 @@ mod tests {
         let mut completed = RangeSet::default();
         completed.insert(0, 16);
         completed.insert(32, 48);
+        let attempt = RescueAttempt {
+            rung: RescueRung::EngineFallback,
+            engine: EngineKind::Lil,
+            node_budget: Some(64),
+            outcome: RescueAttemptOutcome::Violated,
+        };
         let ck = Checkpoint {
             fingerprint: "00deadbeef00cafe".into(),
             property: "2-SNI".into(),
             combinations: 30,
             pruned: 4,
             completed,
-            candidates: vec![(5, vec![0, 3])],
+            candidates: vec![(5, vec![0, 3], None)],
             skipped: vec![(7, vec![1, 2], IncompleteReason::NodeBudget)],
-            rescued: vec![(9, vec![0, 4], IncompleteReason::WorkerFailure)],
+            rescued: vec![Rescued {
+                index: 9,
+                sites: vec![0, 4],
+                reason: IncompleteReason::WorkerFailure,
+                resolution: RescueResolution::Violated,
+                attempts: vec![
+                    RescueAttempt {
+                        node_budget: None,
+                        ..attempt
+                    },
+                    attempt,
+                ],
+            }],
         };
         let text = render(&ck);
         assert!(text.starts_with("{\"schema\":\"walshcheck-checkpoint/1\""));
@@ -439,50 +576,98 @@ mod tests {
 
     #[test]
     fn parse_tolerates_missing_rescued_array() {
-        // Files written before the rescue pass existed have no `rescued`.
+        // Files written before the rescue pass existed have no `rescued`,
+        // and their candidates are the sweep's.
         let text = "{\"schema\":\"walshcheck-checkpoint/1\",\"fingerprint\":\"x\",\
              \"property\":\"p\",\"combinations\":1,\"pruned\":0,\"completed\":[[0,4]],\
-             \"candidates\":[],\"skipped\":[]}";
+             \"candidates\":[{\"index\":2,\"sites\":[2]}],\"skipped\":[]}";
         let back = parse(text).expect("legacy file parses");
         assert!(back.rescued.is_empty());
+        assert_eq!(back.candidates.len(), 1);
+        // A revision-1 (0.3.0) file has the array, and cannot say whether
+        // its rescue pass found that candidate.
+        assert!(parse(&text.replace("[]}", "[],\"rescued\":[]}")).is_err());
     }
 
     #[test]
     fn parse_rejects_malformed_documents() {
+        let rescued = |tail: &str| {
+            format!(
+                "{{\"schema\":\"walshcheck-checkpoint/1\",\"fingerprint\":\"x\",\"property\":\"p\",\
+                 \"combinations\":1,\"pruned\":0,\"completed\":[],\"candidates\":[],\"skipped\":[],\
+                 \"rescued\":[{{\"index\":0,\"sites\":[0],\"reason\":\"node-budget\",{tail}}}]}}"
+            )
+        };
+        let log = "\"attempts\":[{\"rung\":\"budget\",\"engine\":\"mapi\",\"node_budget\":2,\"outcome\":\"clean\"}]";
         for bad in [
-            "",
-            "{}",
-            "{\"schema\":\"walshcheck-checkpoint/9\"}",
+            String::new(),
+            "{}".into(),
+            "{\"schema\":\"walshcheck-checkpoint/9\"}".into(),
+            "{\"schema\":\"walshcheck-checkpoint/1\",\"revision\":3,\"fingerprint\":\"x\",\
+             \"property\":\"p\",\"combinations\":1,\"pruned\":0,\"completed\":[],\
+             \"candidates\":[],\"skipped\":[]}"
+                .into(),
             "{\"schema\":\"walshcheck-checkpoint/1\",\"fingerprint\":\"x\",\"property\":\"p\",\
-             \"combinations\":1,\"pruned\":0,\"completed\":[[3,1]],\"candidates\":[],\"skipped\":[]}",
+             \"combinations\":1,\"pruned\":0,\"completed\":[[3,1]],\"candidates\":[],\"skipped\":[]}"
+                .into(),
+            rescued(&format!("\"resolution\":\"unresolved\",{log}")),
+            rescued(&format!("\"resolution\":\"clean\",{}", log.replace("budget\"", "warp\""))),
         ] {
-            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+            assert!(parse(&bad).is_err(), "{bad:?} must be rejected");
         }
     }
 
     #[test]
     fn resume_filters_to_completed_frontier() {
-        let mut completed = RangeSet::default();
-        completed.insert(0, 10);
-        let ck = Checkpoint {
-            fingerprint: String::new(),
-            property: String::new(),
-            combinations: 0,
-            pruned: 0,
-            completed,
-            candidates: vec![(5, vec![1]), (15, vec![2])],
-            skipped: vec![(3, vec![0], IncompleteReason::WorkerFailure)],
-            rescued: vec![
-                (4, vec![1], IncompleteReason::NodeBudget),
-                (12, vec![2], IncompleteReason::NodeBudget),
-            ],
+        // dom-1 is 1-SNI and SNI(1) sweeps single sites, so site `i` is
+        // combination `i` and no candidate violates: outside the frontier
+        // one is dropped, not re-checked.
+        let netlist = walshcheck_gadgets::suite::Benchmark::Dom(1).netlist();
+        let verifier = Verifier::new(&netlist).expect("valid netlist");
+        let quarantined = |i: u64| (i, vec![i as usize], IncompleteReason::NodeBudget);
+        let rescued = |i: u64| Rescued {
+            index: i,
+            sites: vec![i as usize],
+            reason: IncompleteReason::NodeBudget,
+            resolution: RescueResolution::Clean,
+            attempts: Vec::new(),
         };
-        let resume = ck.into_resume();
-        assert_eq!(resume.candidates, vec![(5, vec![1])]);
-        assert_eq!(resume.skipped.len(), 1);
-        assert_eq!(
-            resume.rescued,
-            vec![(4, vec![1], IncompleteReason::NodeBudget)]
-        );
+        let mut completed = RangeSet::default();
+        completed.insert(0, 2);
+        let ck = Checkpoint {
+            combinations: 2,
+            completed,
+            candidates: vec![(3, vec![3], None)],
+            skipped: vec![quarantined(0), quarantined(4)],
+            rescued: vec![rescued(1), rescued(5)],
+            ..Checkpoint::default()
+        };
+        let admitted = ck
+            .admit(&verifier, Property::Sni(1), &VerifyOptions::default())
+            .expect("fits the run");
+        assert!(admitted.candidates.is_empty());
+        assert_eq!(admitted.skipped, vec![quarantined(0)]);
+        assert_eq!(admitted.rescued, vec![rescued(1)]);
+    }
+
+    #[test]
+    fn combination_index_matches_the_enumeration() {
+        let n = 6;
+        for sizes in [vec![3, 2, 1], vec![1, 2, 3]] {
+            let mut expect = 0u64;
+            for &k in &sizes {
+                let mut idxs: Vec<usize> = (0..k).collect();
+                loop {
+                    assert_eq!(combination_index(&sizes, n, &idxs), Some(expect));
+                    expect += 1;
+                    if !crate::scheduler::next_combination(&mut idxs, n) {
+                        break;
+                    }
+                }
+            }
+        }
+        for bad in [&[][..], &[6], &[2, 2], &[3, 1], &[0, 1, 2, 3]] {
+            assert_eq!(combination_index(&[3, 2, 1], n, bad), None, "{bad:?}");
+        }
     }
 }

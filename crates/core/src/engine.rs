@@ -102,8 +102,8 @@ impl std::fmt::Display for EngineKind {
 /// Work distribution is no longer part of the options: sharding and
 /// cross-worker cancellation are internal to the work-stealing scheduler
 /// and are driven by [`crate::Session::threads`]. Neither is variable
-/// order: greedy sifting runs only as the rescue ladder's second rung
-/// (see [`crate::recover`]).
+/// order: every check keeps the order of the circuit's input declaration,
+/// over which the spectral coordinates are masks.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct VerifyOptions {
@@ -379,12 +379,7 @@ impl Verifier {
         let mut skipped = Vec::new();
 
         let n = state.sites.len();
-        let max_k = (property.order() as usize).min(n);
-        let sizes: Vec<usize> = if options.largest_first {
-            (1..=max_k).rev().collect()
-        } else {
-            (1..=max_k).collect()
-        };
+        let sizes = crate::scheduler::bucket_sizes(property, options, n);
         let mut index: u64 = 0;
         'sizes: for k in sizes {
             let mut idxs: Vec<usize> = (0..k).collect();
@@ -494,53 +489,6 @@ impl Verifier {
         step
     }
 
-    /// Re-checks one combination after greedily sifting its observed
-    /// functions into a smaller variable order
-    /// ([`walshcheck_dd::reorder::sift`]) — the rescue ladder's second
-    /// rung. The functions are re-expressed in a fresh manager under the
-    /// found order, the variable map and site supports are permuted to
-    /// match, the check runs in a cold engine context, and a violating
-    /// coordinate is mapped back to the original numbering before
-    /// returning. The `begin_tuple` pre-charge counts functions, not
-    /// nodes, so it is unchanged by sifting — only the arena-growth half
-    /// of the budget benefits from the smaller diagrams.
-    pub(crate) fn check_sifted(
-        &self,
-        property: Property,
-        options: &VerifyOptions,
-        sites: &[Site],
-        idxs: &[usize],
-        stats: &mut CheckStats,
-    ) -> ComboStep {
-        let combo: Vec<&Site> = idxs.iter().map(|&i| &sites[i]).collect();
-        let roots: Vec<Bdd> = combo.iter().flat_map(|s| s.funcs.iter().copied()).collect();
-        let sifted = walshcheck_dd::reorder::sift(&self.unfolded.bdds, &roots);
-        let vm = self.varmap.permuted(&sifted.order);
-        let mut moved = sifted.roots.iter().copied();
-        let local: Vec<Site> = combo
-            .iter()
-            .map(|s| Site {
-                probe: s.probe.clone(),
-                funcs: moved.by_ref().take(s.funcs.len()).collect(),
-                support: s.support.permuted(&sifted.order),
-            })
-            .collect();
-        // Local indices are the throwaway context's cache keys; they never
-        // mix with another run's keys because the context dies here.
-        let idxs: Vec<usize> = (0..local.len()).collect();
-        let mut state = self.begin_with_sites(local, property, options);
-        let bdds = &sifted.manager;
-        let step = check_in(bdds, &vm, &mut state, property, false, &idxs, stats);
-        state.finish(stats);
-        match step {
-            ComboStep::Violation(mut w) => {
-                w.mask = w.mask.permuted(&sifted.inverse_order());
-                ComboStep::Violation(w)
-            }
-            step => step,
-        }
-    }
-
     /// Checks the single combination `idxs` (site indices into
     /// `state.sites`). Does **not** count the combination in
     /// `stats.combinations` — the enumeration driver owns that counter (and
@@ -553,8 +501,40 @@ impl Verifier {
         idxs: &[usize],
         stats: &mut CheckStats,
     ) -> ComboStep {
-        let (bdds, vm) = (&self.unfolded.bdds, &self.varmap);
-        check_in(bdds, vm, state, property, prefilter, idxs, stats)
+        let combo: Vec<&Site> = idxs.iter().map(|&i| &state.sites[i]).collect();
+        let internal = combo.iter().filter(|s| s.is_internal()).count();
+        let region = region_for(property, &combo, combo.len(), internal);
+
+        if prefilter {
+            let support = combo.iter().fold(Mask::ZERO, |acc, s| acc | s.support);
+            if region_prunable(&region, &self.varmap, support) {
+                stats.pruned += 1;
+                return ComboStep::Pruned;
+            }
+        }
+
+        // Pruned tuples never reach the engine, so budgeting starts here:
+        // the prefilter is a sound proof, not a capacity concession.
+        state.ctx.begin_tuple(&combo);
+
+        let hit = state.ctx.check_combination(
+            &self.unfolded.bdds,
+            &self.varmap,
+            &combo,
+            idxs,
+            &region,
+            state.mode,
+            stats,
+        );
+        match hit {
+            Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
+                combination: combo.iter().map(|s| s.probe.clone()).collect(),
+                mask,
+                reason,
+                coefficient,
+            }),
+            None => ComboStep::Clean,
+        }
     }
 
     /// Releases transient decision-diagram memory after an enumeration.
@@ -670,47 +650,6 @@ impl Verifier {
             ComboStep::Violation(w) => Some(w),
             ComboStep::Clean | ComboStep::Pruned => None,
         }
-    }
-}
-
-/// [`Verifier::check_indices`] over explicit wire functions and variable
-/// map (the sift rung passes re-ordered ones).
-fn check_in(
-    bdds: &BddManager,
-    vm: &VarMap,
-    state: &mut EnumState,
-    property: Property,
-    prefilter: bool,
-    idxs: &[usize],
-    stats: &mut CheckStats,
-) -> ComboStep {
-    let combo: Vec<&Site> = idxs.iter().map(|&i| &state.sites[i]).collect();
-    let internal = combo.iter().filter(|s| s.is_internal()).count();
-    let region = region_for(property, &combo, combo.len(), internal);
-
-    if prefilter {
-        let support = combo.iter().fold(Mask::ZERO, |acc, s| acc | s.support);
-        if region_prunable(&region, vm, support) {
-            stats.pruned += 1;
-            return ComboStep::Pruned;
-        }
-    }
-
-    // Pruned tuples never reach the engine, so budgeting starts here:
-    // the prefilter is a sound proof, not a capacity concession.
-    state.ctx.begin_tuple(&combo);
-
-    let hit = state
-        .ctx
-        .check_combination(bdds, vm, &combo, idxs, &region, state.mode, stats);
-    match hit {
-        Some((mask, reason, coefficient)) => ComboStep::Violation(Witness {
-            combination: combo.iter().map(|s| s.probe.clone()).collect(),
-            mask,
-            reason,
-            coefficient,
-        }),
-        None => ComboStep::Clean,
     }
 }
 

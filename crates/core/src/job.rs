@@ -35,7 +35,7 @@ use walshcheck_circuit::ilang::write_ilang;
 use walshcheck_circuit::netlist::Netlist;
 use walshcheck_dd::var::VarId;
 
-use crate::checkpoint::{self, CheckpointConfig, ResumeState};
+use crate::checkpoint::{self, Checkpoint, CheckpointConfig};
 use crate::engine::{EngineKind, Verifier, VerifyOptions};
 use crate::error::Error;
 use crate::hash::sha256_hex;
@@ -360,7 +360,7 @@ pub struct Job {
     spec: JobSpec,
     observer: Option<Arc<dyn ProgressObserver>>,
     checkpoint: Option<CheckpointConfig>,
-    resume: Option<ResumeState>,
+    resume: Option<Checkpoint>,
     interrupt: Option<Arc<std::sync::atomic::AtomicBool>>,
     setup: SetupTimings,
 }
@@ -472,7 +472,10 @@ impl Job {
     /// # Errors
     ///
     /// [`Error::Io`] if `path` cannot be read, [`Error::Checkpoint`] if the
-    /// file is malformed or does not match this job's fingerprint.
+    /// file is malformed, does not match this job's fingerprint, or holds
+    /// evidence that does not fit the run (an entry that is not the
+    /// combination at its index, counters past the space, a candidate that
+    /// does not violate).
     pub fn resume_from(&mut self, path: impl AsRef<Path>) -> Result<(), Error> {
         let text = std::fs::read_to_string(path.as_ref())?;
         let ck = checkpoint::parse(&text)?;
@@ -487,7 +490,8 @@ impl Job {
                 ck.fingerprint, ck.property, expect, self.spec.property
             )));
         }
-        self.resume = Some(ck.into_resume());
+        let admitted = ck.admit(&self.verifier, self.spec.property, &self.spec.options)?;
+        self.resume = Some(admitted);
         Ok(())
     }
 

@@ -46,12 +46,6 @@ impl Mask {
         self.0 & !other.0 == 0
     }
 
-    /// Moves every selected position `i` to `order[i]` (a variable
-    /// permutation, as produced by [`walshcheck_dd::reorder::sift`]).
-    pub fn permuted(self, order: &[VarId]) -> Mask {
-        Mask(self.iter().fold(0, |acc, i| acc | 1 << order[i].0))
-    }
-
     /// Iterates the selected variable positions in increasing order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
@@ -216,35 +210,6 @@ impl VarMap {
     pub fn var(&self, pos: usize) -> VarId {
         VarId(pos as u32)
     }
-
-    /// Re-expresses the map under a variable permutation (`order[i]` = the
-    /// new level of old variable `i`, as produced by
-    /// [`walshcheck_dd::reorder::sift`]): every mask bit `i` moves to bit
-    /// `order[i]`, and the per-position share table is reindexed to match.
-    /// Used when a combination is re-checked under a sifted order — the
-    /// spectral coordinates must agree with the reordered BDD variables.
-    pub fn permuted(&self, order: &[VarId]) -> VarMap {
-        assert!(
-            order.len() >= self.num_vars,
-            "permutation must cover all input variables"
-        );
-        let mut share_of = vec![None; self.num_vars];
-        for (i, &s) in self.share_of.iter().enumerate() {
-            share_of[order[i].0 as usize] = s;
-        }
-        VarMap {
-            num_vars: self.num_vars,
-            share_groups: self
-                .share_groups
-                .iter()
-                .map(|g| g.permuted(order))
-                .collect(),
-            share_of,
-            randoms: self.randoms.permuted(order),
-            publics: self.publics.permuted(order),
-            all_shares: self.all_shares.permuted(order),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -324,25 +289,6 @@ mod tests {
         assert!(vm.is_full_group_union(Mask(0b100011)));
         // Empty share part: not a leak coordinate.
         assert!(!vm.is_full_group_union(Mask(0b100000)));
-    }
-
-    #[test]
-    fn permuted_map_moves_every_classification() {
-        // Reverse the 6 positions: old i → new 5−i.
-        let (_, vm) = example();
-        let order: Vec<VarId> = (0..6).map(|i| VarId(5 - i)).collect();
-        let p = vm.permuted(&order);
-        assert_eq!(p.num_vars, 6);
-        assert_eq!(p.share_groups[0], Mask(0b110000));
-        assert_eq!(p.share_groups[1], Mask(0b001100));
-        assert_eq!(p.randoms, Mask(0b000010));
-        assert_eq!(p.publics, Mask(0b000001));
-        assert_eq!(p.all_shares, Mask(0b111100));
-        // share_of[2] was (y, 0) at old position 2 → new position 3.
-        assert_eq!(p.share_of[3], Some((SecretId(1), 0)));
-        // The identity permutation is a no-op.
-        let id: Vec<VarId> = (0..6).map(VarId).collect();
-        assert_eq!(vm.permuted(&id), vm);
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //!
 //! 1. **Budget escalation** — retry under the original engine with the node
 //!    budget doubled per attempt (geometric), capped by the global rescue
-//!    budget ([`RescueConfig::budget_bytes`]).
-//! 2. **Variable sifting** — rebuild the combination's BDDs under a greedily
-//!    sifted variable order ([`walshcheck_dd::reorder::sift`]) and retry at
-//!    the budget cap. Reordering attacks the *cause* of a blow-up (a bad
-//!    order can be exponentially larger), so it comes before switching
-//!    algorithms. This rung is the only place walshcheck reorders
-//!    variables, and it always runs: there is no knob to skip it.
-//! 3. **Engine fallback** — retry with the remaining engines in MAPI → MAP →
+//!    budget ([`RescueConfig::budget_bytes`]). A climb that stops below the
+//!    cap ends with one attempt at the cap.
+//! 2. **Engine fallback** — retry with the remaining engines in MAPI → MAP →
 //!    LIL order, trading memory for time (LIL streams rows and keeps almost
 //!    nothing resident).
+//!
+//! Every attempt keeps the sweep's variable order (the input declaration's,
+//! over which spectral coordinates are masks).
 //!
 //! Every attempt runs under the same `catch_unwind` isolation as the sweep,
 //! so a rescue attempt that panics is just a recorded [`Panicked`] outcome,
@@ -57,7 +55,9 @@ pub struct RescueConfig {
     /// Whether the rescue pass runs at all. Off by default: a plain run
     /// keeps PR-3 semantics (quarantine → `Inconclusive`).
     pub enabled: bool,
-    /// Number of budget-doubling attempts on the first rung.
+    /// Number of budget-doubling attempts on the first rung. A climb that
+    /// stops below the cap adds one attempt at the cap (so `0` means "the
+    /// cap only").
     pub attempts: u32,
     /// Global cap, in bytes, on the node budget any single rescue attempt
     /// may be granted. Converted to nodes at a fixed per-node estimate.
@@ -84,10 +84,9 @@ impl RescueConfig {
 /// Which rung of the escalation ladder an attempt belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RescueRung {
-    /// Retry under the original engine with a doubled node budget.
+    /// Retry under the original engine with a doubled node budget, or
+    /// at the budget cap.
     Budget,
-    /// Retry after greedy variable sifting, at the budget cap.
-    Sift,
     /// Retry with a different engine, at the budget cap.
     EngineFallback,
 }
@@ -97,9 +96,16 @@ impl RescueRung {
     pub fn as_str(self) -> &'static str {
         match self {
             RescueRung::Budget => "budget",
-            RescueRung::Sift => "sift",
             RescueRung::EngineFallback => "engine-fallback",
         }
+    }
+
+    /// Inverse of [`RescueRung::as_str`].
+    pub fn parse(s: &str) -> Option<RescueRung> {
+        use RescueRung::*;
+        [Budget, EngineFallback]
+            .into_iter()
+            .find(|r| r.as_str() == s)
     }
 }
 
@@ -133,6 +139,14 @@ impl RescueAttemptOutcome {
             RescueAttemptOutcome::Panicked => "panicked",
         }
     }
+
+    /// Inverse of [`RescueAttemptOutcome::as_str`].
+    pub fn parse(s: &str) -> Option<RescueAttemptOutcome> {
+        use RescueAttemptOutcome::*;
+        [Clean, Violated, NodeBudget, Panicked]
+            .into_iter()
+            .find(|o| o.as_str() == s)
+    }
 }
 
 impl std::fmt::Display for RescueAttemptOutcome {
@@ -161,6 +175,14 @@ impl RescueResolution {
             RescueResolution::Violated => "violated",
             RescueResolution::Unresolved => "unresolved",
         }
+    }
+
+    /// Inverse of [`RescueResolution::as_str`].
+    pub fn parse(s: &str) -> Option<RescueResolution> {
+        use RescueResolution::*;
+        [Clean, Violated, Unresolved]
+            .into_iter()
+            .find(|r| r.as_str() == s)
     }
 }
 
@@ -193,8 +215,9 @@ pub struct RescuedCombination {
     pub combination: Vec<ProbeRef>,
     /// Why the sweep quarantined it.
     pub reason: IncompleteReason,
-    /// Every attempt made, in ladder order (empty for combinations carried
-    /// from a resumed checkpoint — their ladder ran in the earlier process).
+    /// Every attempt made, in ladder order. A combination carried from a
+    /// resumed checkpoint keeps the log its ladder wrote in the earlier
+    /// process.
     pub attempts: Vec<RescueAttempt>,
     /// The final resolution.
     pub resolution: RescueResolution,
@@ -245,6 +268,14 @@ fn ladder(options: &VerifyOptions, config: &RescueConfig) -> Vec<AttemptPlan> {
                     break;
                 }
             }
+            // A climb that stops below the cap ends with one attempt at it.
+            if budget < cap {
+                plans.push(AttemptPlan {
+                    rung: RescueRung::Budget,
+                    engine: options.engine,
+                    node_budget: Some(cap),
+                });
+            }
         }
         // No budget was configured (the quarantine came from a panic, not
         // an overrun): a single plain retry stands in for the rung.
@@ -258,14 +289,7 @@ fn ladder(options: &VerifyOptions, config: &RescueConfig) -> Vec<AttemptPlan> {
             }
         }
     }
-    // Rung 2: sifted variable order at the cap. Reordering attacks the
-    // size blow-up itself, so it precedes changing the algorithm.
-    plans.push(AttemptPlan {
-        rung: RescueRung::Sift,
-        engine: options.engine,
-        node_budget: Some(cap),
-    });
-    // Rung 3: engine fallback, memory-hungry to memory-lean.
+    // Rung 2: engine fallback, memory-hungry to memory-lean.
     for engine in [EngineKind::Mapi, EngineKind::Map, EngineKind::Lil] {
         if engine != options.engine {
             plans.push(AttemptPlan {
@@ -298,11 +322,7 @@ fn run_attempt(
     let mut stats = CheckStats::default();
     let result = catch_unwind(AssertUnwindSafe(|| {
         crate::fault::maybe_inject_rescue(index);
-        if plan.rung == RescueRung::Sift {
-            verifier.check_sifted(property, &opts, sites, idxs, &mut stats)
-        } else {
-            verifier.check_fresh(property, &opts, sites, idxs, &mut stats)
-        }
+        verifier.check_fresh(property, &opts, sites, idxs, &mut stats)
     }));
     match result {
         Ok(ComboStep::Violation(_)) => RescueAttemptOutcome::Violated,
@@ -376,25 +396,28 @@ mod tests {
         o
     }
 
+    fn shape(plans: &[AttemptPlan]) -> Vec<(RescueRung, EngineKind, Option<usize>)> {
+        plans
+            .iter()
+            .map(|p| (p.rung, p.engine, p.node_budget))
+            .collect()
+    }
+
     #[test]
-    fn ladder_escalates_geometrically_then_sifts_then_falls_back() {
+    fn ladder_escalates_geometrically_to_the_cap_then_falls_back() {
         let config = RescueConfig {
             enabled: true,
             ..RescueConfig::default()
         };
         let plans = ladder(&opts(EngineKind::Mapi, Some(1)), &config);
         let cap = config.node_cap();
-        let shape: Vec<_> = plans
-            .iter()
-            .map(|p| (p.rung, p.engine, p.node_budget))
-            .collect();
         assert_eq!(
-            shape,
+            shape(&plans),
             vec![
                 (RescueRung::Budget, EngineKind::Mapi, Some(2)),
                 (RescueRung::Budget, EngineKind::Mapi, Some(4)),
                 (RescueRung::Budget, EngineKind::Mapi, Some(8)),
-                (RescueRung::Sift, EngineKind::Mapi, Some(cap)),
+                (RescueRung::Budget, EngineKind::Mapi, Some(cap)),
                 (RescueRung::EngineFallback, EngineKind::Map, Some(cap)),
                 (RescueRung::EngineFallback, EngineKind::Lil, Some(cap)),
             ]
@@ -414,8 +437,33 @@ mod tests {
             .filter(|p| p.rung == RescueRung::Budget)
             .map(|p| p.node_budget)
             .collect();
-        // 2, then 4 == cap stops the climb — never ten attempts.
+        // 2, then 4 == cap stops the climb — never ten attempts, and no
+        // extra attempt at the cap the climb already reached.
         assert_eq!(budgets, vec![Some(2), Some(4)]);
+    }
+
+    #[test]
+    fn zero_attempts_still_try_the_cap_once() {
+        let config = RescueConfig {
+            enabled: true,
+            attempts: 0,
+            budget_bytes: 64 * 32, // cap = 64 nodes
+        };
+        let fallbacks: Vec<_> = [EngineKind::Mapi, EngineKind::Map, EngineKind::Lil]
+            .map(|e| (RescueRung::EngineFallback, e, Some(64)))
+            .into();
+        // A sweep budget below the cap: one attempt at the cap, then the
+        // fallbacks; at or above the cap, only the fallbacks.
+        let plans = ladder(&opts(EngineKind::Fujita, Some(16)), &config);
+        assert_eq!(
+            shape(&plans)[0],
+            (RescueRung::Budget, EngineKind::Fujita, Some(64))
+        );
+        assert_eq!(shape(&plans)[1..], fallbacks);
+        for base in [64, 1000] {
+            let plans = ladder(&opts(EngineKind::Fujita, Some(base)), &config);
+            assert_eq!(shape(&plans), fallbacks, "sweep budget {base}");
+        }
     }
 
     #[test]
@@ -431,8 +479,8 @@ mod tests {
                 .count(),
             1
         );
-        // Full ladder: plain retry, sift, two fallbacks (MAPI is the base).
-        assert_eq!(plans.len(), 4);
+        // Full ladder: plain retry, two fallbacks (MAPI is the base).
+        assert_eq!(plans.len(), 3);
     }
 
     #[test]

@@ -177,10 +177,26 @@ impl crate::recover::RescueAttempt {
         format!(
             "{{\"rung\":\"{}\",\"engine\":\"{}\",\"node_budget\":{},\"outcome\":\"{}\"}}",
             self.rung.as_str(),
-            self.engine.to_string().to_lowercase(),
+            self.engine.as_str(),
             budget,
             self.outcome.as_str(),
         )
+    }
+
+    /// Reads back an object written by [`Self::to_json`].
+    pub(crate) fn from_json(a: &Json) -> Option<Self> {
+        use crate::recover::{RescueAttemptOutcome, RescueRung};
+        let text = |key: &str| a.get(key).and_then(Json::as_str);
+        let node_budget = match a.get("node_budget")? {
+            Json::Null => None,
+            n => Some(usize::try_from(n.as_u64()?).ok()?),
+        };
+        Some(crate::recover::RescueAttempt {
+            rung: RescueRung::parse(text("rung")?)?,
+            engine: crate::engine::EngineKind::parse(text("engine")?)?,
+            node_budget,
+            outcome: RescueAttemptOutcome::parse(text("outcome")?)?,
+        })
     }
 }
 

@@ -43,12 +43,12 @@ use std::time::{Duration, Instant};
 
 use walshcheck_circuit::netlist::Netlist;
 
-use crate::checkpoint::{self, Checkpoint, CheckpointConfig, RangeSet, ResumeState};
+use crate::checkpoint::{
+    self, Candidate, Checkpoint, CheckpointConfig, Quarantined, RangeSet, Rescued,
+};
 use crate::engine::{ComboStep, EnumState, Verifier, VerifyOptions};
 use crate::observe::{EnginePhase, ProgressObserver};
-use crate::property::{
-    CheckStats, IncompleteReason, Property, SkippedCombination, Verdict, Witness,
-};
+use crate::property::{CheckStats, Property, SkippedCombination, Verdict, Witness};
 use crate::recover::{RecoveryReport, RescueConfig, RescueResolution, RescuedCombination};
 
 /// Wall-times of the setup work done in `Session::new`, reported to the
@@ -59,9 +59,9 @@ pub(crate) struct SetupTimings {
     pub(crate) unfold: Duration,
 }
 
-/// `C(n, k)`, saturating at `u64::MAX` (only used for progress accounting;
-/// the enumeration itself never materializes the count).
-fn binomial(n: usize, k: usize) -> u64 {
+/// `C(n, k)`, saturating at `u64::MAX` (used for progress accounting and
+/// index arithmetic; the enumeration itself never materializes the count).
+pub(crate) fn binomial(n: usize, k: usize) -> u64 {
     if k > n {
         return 0;
     }
@@ -74,6 +74,25 @@ fn binomial(n: usize, k: usize) -> u64 {
         }
     }
     acc as u64
+}
+
+/// The combination sizes of a run over `n` sites, in enumeration order
+/// (largest first by default).
+pub(crate) fn bucket_sizes(property: Property, options: &VerifyOptions, n: usize) -> Vec<usize> {
+    let max_k = (property.order() as usize).min(n);
+    if options.largest_first {
+        (1..=max_k).rev().collect()
+    } else {
+        (1..=max_k).collect()
+    }
+}
+
+/// The number of combinations in the buckets `sizes` of a run over `n`
+/// sites (saturating).
+pub(crate) fn bucket_total(sizes: &[usize], n: usize) -> u64 {
+    sizes
+        .iter()
+        .fold(0u64, |acc, &k| acc.saturating_add(binomial(n, k)))
 }
 
 /// A claimed slice of the enumeration: `len` combinations of size `k`
@@ -257,7 +276,7 @@ impl BatchQueue {
 /// Frontier and counters persisted by a checkpoint, behind one lock so
 /// every snapshot is internally consistent (a range is never visible as
 /// completed without the combinations counted inside it).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Progress {
     completed: RangeSet,
     combinations: u64,
@@ -275,7 +294,7 @@ struct CheckpointShared {
     /// rescue pass, carried through every sweep-time snapshot so a second
     /// interruption does not lose them. The current run's own rescue pass
     /// appends to a separate list and writes via [`Self::write_snapshot`].
-    carried_rescued: Vec<Quarantined>,
+    carried_rescued: Vec<Rescued>,
 }
 
 impl CheckpointShared {
@@ -290,90 +309,69 @@ impl CheckpointShared {
         skipped: &Mutex<Vec<Quarantined>>,
         observer: Option<&dyn ProgressObserver>,
     ) {
-        {
-            let mut last = self.last_write.lock().expect("checkpoint clock poisoned");
-            if last.elapsed() < self.config.every {
-                return;
-            }
-            *last = Instant::now();
+        if self.due() {
+            self.write(candidates, skipped, observer);
         }
-        self.write(candidates, skipped, &self.carried_rescued, observer);
     }
 
-    /// Unconditionally writes a checkpoint (best-effort: an I/O failure of a
-    /// periodic write must not abort the verification it is backing up).
+    /// Whether at least `config.every` has elapsed since the previous
+    /// periodic write; restarts that clock when it has.
+    fn due(&self) -> bool {
+        let mut last = self.last_write.lock().expect("checkpoint clock poisoned");
+        if last.elapsed() < self.config.every {
+            return false;
+        }
+        *last = Instant::now();
+        true
+    }
+
+    /// Unconditionally writes a sweep-time checkpoint (best-effort: an I/O
+    /// failure of a periodic write must not abort the verification it is
+    /// backing up).
     fn write(
         &self,
         candidates: &Mutex<Vec<Candidate>>,
         skipped: &Mutex<Vec<Quarantined>>,
-        rescued: &[Quarantined],
         observer: Option<&dyn ProgressObserver>,
     ) {
         // Progress first, evidence second — see `maybe_write`.
-        let (completed, combinations, pruned) = {
-            let p = self.progress.lock().expect("progress poisoned");
-            (p.completed.clone(), p.combinations, p.pruned)
-        };
-        let cands = candidates
-            .lock()
-            .expect("candidates poisoned")
-            .iter()
-            .map(|(g, idxs, _)| (*g, idxs.clone()))
-            .collect();
+        let progress = self.progress.lock().expect("progress poisoned").clone();
+        let cands = candidates.lock().expect("candidates poisoned").clone();
         let skips = skipped.lock().expect("skipped poisoned").clone();
-        self.emit(
-            completed,
-            combinations,
-            pruned,
-            cands,
-            skips,
-            rescued,
-            observer,
-        );
+        self.emit(progress, cands, skips, &self.carried_rescued, observer);
     }
 
     /// Snapshot-based variant for the (single-threaded) rescue pass, where
     /// the evidence lists are plain vectors again and the frontier is
-    /// static.
+    /// static. `skipped` is every quarantine still open: the unresolved
+    /// ones plus the pass's unprocessed tail.
     fn write_snapshot(
         &self,
-        candidates: &[(u64, Vec<usize>)],
-        skipped: &[Quarantined],
-        rescued: &[Quarantined],
+        candidates: &[Candidate],
+        mut skipped: Vec<Quarantined>,
+        rescued: &[Rescued],
         observer: Option<&dyn ProgressObserver>,
     ) {
-        let (completed, combinations, pruned) = {
-            let p = self.progress.lock().expect("progress poisoned");
-            (p.completed.clone(), p.combinations, p.pruned)
-        };
-        self.emit(
-            completed,
-            combinations,
-            pruned,
-            candidates.to_vec(),
-            skipped.to_vec(),
-            rescued,
-            observer,
-        );
+        skipped.sort_by_key(|&(g, _, _)| g);
+        let progress = self.progress.lock().expect("progress poisoned").clone();
+        self.emit(progress, candidates.to_vec(), skipped, rescued, observer);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
-        completed: RangeSet,
-        combinations: u64,
-        pruned: u64,
-        candidates: Vec<(u64, Vec<usize>)>,
+        progress: Progress,
+        candidates: Vec<Candidate>,
         skipped: Vec<Quarantined>,
-        rescued: &[Quarantined],
+        rescued: &[Rescued],
         observer: Option<&dyn ProgressObserver>,
     ) {
+        let combinations = progress.combinations;
         let ck = Checkpoint {
             fingerprint: self.fingerprint.clone(),
             property: self.property.clone(),
             combinations,
-            pruned,
-            completed,
+            pruned: progress.pruned,
+            completed: progress.completed,
             candidates,
             skipped,
             rescued: rescued.to_vec(),
@@ -392,14 +390,6 @@ impl CheckpointShared {
         }
     }
 }
-
-/// A violation candidate: global index, site indices, and the witness —
-/// `None` for candidates seeded from a checkpoint, whose witness is
-/// recomputed only if they win the minimal-index selection.
-type Candidate = (u64, Vec<usize>, Option<Witness>);
-
-/// A quarantined combination: global index, site indices, reason.
-type Quarantined = (u64, Vec<usize>, IncompleteReason);
 
 /// Advances `idxs` to the next `k`-combination of `0..n` in lexicographic
 /// order; returns `false` when `idxs` was the last one.
@@ -436,7 +426,7 @@ pub(crate) fn run(
     observer: Option<&Arc<dyn ProgressObserver>>,
     setup: SetupTimings,
     ckpt: Option<&CheckpointConfig>,
-    resume: Option<ResumeState>,
+    resume: Option<Checkpoint>,
     rescue: &RescueConfig,
     interrupt: Option<&Arc<AtomicBool>>,
 ) -> Verdict {
@@ -449,16 +439,9 @@ pub(crate) fn run(
     let extract_time = t.elapsed();
 
     let n = state0.sites.len();
-    let max_k = (property.order() as usize).min(n);
-    let sizes: Vec<usize> = if options.largest_first {
-        (1..=max_k).rev().collect()
-    } else {
-        (1..=max_k).collect()
-    };
+    let sizes = bucket_sizes(property, options, n);
     let buckets: Vec<(usize, u64)> = sizes.iter().map(|&k| (k, binomial(n, k))).collect();
-    let total = buckets
-        .iter()
-        .fold(0u64, |acc, &(_, c)| acc.saturating_add(c));
+    let total = bucket_total(&sizes, n);
 
     if let Some(obs) = observer {
         obs.run_started(n, total, &buckets);
@@ -480,14 +463,8 @@ pub(crate) fn run(
     } else {
         Some(&resume.completed)
     };
-    let candidates: Mutex<Vec<Candidate>> = Mutex::new(
-        resume
-            .candidates
-            .iter()
-            .map(|(g, idxs)| (*g, idxs.clone(), None))
-            .collect(),
-    );
-    for &(g, _) in &resume.candidates {
+    let candidates: Mutex<Vec<Candidate>> = Mutex::new(resume.candidates.clone());
+    for &(g, _, _) in &resume.candidates {
         // A seeded candidate cancels everything past it, exactly as a live
         // violation would.
         queue.record_violation(g);
@@ -581,17 +558,12 @@ pub(crate) fn run(
     stats.pruned += resumed_pruned;
     stats.interrupted |= queue.was_cut();
 
-    // Quarantines an earlier (interrupted) run's rescue pass already
-    // resolved stay resolved; their ladder ran in that process and is not
-    // replayed here.
-    let mut rescued: Vec<Quarantined> = resume.rescued.clone();
-
     // Post-sweep flush: even a finished run leaves a coherent frontier
     // file, so a later resume of a completed sweep is a cheap no-op — and
     // for a graceful shutdown this write *is* the flush the signal handler
     // promises.
     if let Some(ck) = ck_ref {
-        ck.write(&candidates, &skipped, &rescued, obs_dyn);
+        ck.write(&candidates, &skipped, obs_dyn);
     }
 
     let mut cand_list: Vec<Candidate> = candidates.into_inner().expect("candidates poisoned");
@@ -605,17 +577,23 @@ pub(crate) fn run(
     // used. Skipped entirely after a timeout or an interrupt — both mean
     // the sweep itself is incomplete and rescue could not upgrade the
     // verdict anyway.
+    //
+    // Quarantines an earlier (interrupted) run's rescue pass already
+    // resolved stay resolved, with the attempt log their ladder wrote in
+    // that process; they are not replayed here.
+    let mut rescued: Vec<Rescued> = resume.rescued;
     let mut records: Vec<RescuedCombination> = rescued
         .iter()
-        .map(|(g, idxs, reason)| RescuedCombination {
-            index: *g,
-            combination: idxs
+        .map(|r| RescuedCombination {
+            index: r.index,
+            combination: r
+                .sites
                 .iter()
                 .map(|&i| state0.sites[i].probe.clone())
                 .collect(),
-            reason: *reason,
-            attempts: Vec::new(),
-            resolution: RescueResolution::Clean,
+            reason: r.reason,
+            attempts: r.attempts.clone(),
+            resolution: r.resolution,
         })
         .collect();
     let can_rescue =
@@ -634,8 +612,8 @@ pub(crate) fn run(
         for (i, (g, idxs, reason)) in todo.iter().enumerate() {
             // A kill or deadline landing mid-rescue drains like one landing
             // mid-sweep: the unprocessed tail (including this entry) stays
-            // skipped, and the per-resolution snapshots already written make
-            // the run resumable from exactly this point.
+            // skipped, and the final snapshot below makes the run resumable
+            // from exactly this point.
             if crate::shutdown::requested() || interrupt.is_some_and(|t| t.load(Ordering::Relaxed))
             {
                 raw_skipped.push((*g, idxs.clone(), *reason));
@@ -659,30 +637,38 @@ pub(crate) fn run(
                 obs_dyn,
             );
             match rec.resolution {
-                RescueResolution::Clean => rescued.push((*g, idxs.clone(), *reason)),
-                RescueResolution::Violated => {
-                    // Witness recomputed below only if this index wins the
-                    // minimal-index selection — with the run's own engine
-                    // and no budget, byte-identical to a sweep-found one.
-                    cand_list.push((*g, idxs.clone(), None));
-                    cutoff = Some(cutoff.map_or(*g, |c| c.min(*g)));
-                }
                 RescueResolution::Unresolved => raw_skipped.push((*g, idxs.clone(), *reason)),
+                resolution => {
+                    if resolution == RescueResolution::Violated {
+                        // Witness recomputed below only if this index wins
+                        // the minimal-index selection — with the run's own
+                        // engine and no budget, byte-identical to a
+                        // sweep-found one.
+                        cand_list.push((*g, idxs.clone(), None));
+                        cutoff = Some(cutoff.map_or(*g, |c| c.min(*g)));
+                    }
+                    rescued.push(Rescued {
+                        index: *g,
+                        sites: idxs.clone(),
+                        reason: *reason,
+                        resolution,
+                        attempts: rec.attempts.clone(),
+                    });
+                }
             }
             records.push(rec);
-            // Persist every resolution so a kill mid-rescue resumes without
-            // replaying healed combinations; the unprocessed tail goes back
-            // into the snapshot as still-skipped.
-            if let Some(ck) = ck_ref {
-                let cands: Vec<(u64, Vec<usize>)> = cand_list
-                    .iter()
-                    .map(|(g, idxs, _)| (*g, idxs.clone()))
-                    .collect();
-                let mut skips = raw_skipped.clone();
-                skips.extend_from_slice(&todo[i + 1..]);
-                skips.sort_by_key(|&(g, _, _)| g);
-                ck.write_snapshot(&cands, &skips, &rescued, obs_dyn);
+            // Persist resolutions on the sweep's cadence so a kill
+            // mid-rescue resumes without replaying healed combinations; the
+            // unprocessed tail goes back into the snapshot as still-skipped.
+            if let Some(ck) = ck_ref.filter(|ck| ck.due()) {
+                let open = [&raw_skipped[..], &todo[i + 1..]].concat();
+                ck.write_snapshot(&cand_list, open, &rescued, obs_dyn);
             }
+        }
+        // The pass ended or was interrupted: one final snapshot records
+        // where it stands.
+        if let Some(ck) = ck_ref {
+            ck.write_snapshot(&cand_list, raw_skipped.clone(), &rescued, obs_dyn);
         }
         // The skipped counter mirrors the surviving quarantine list (fresh
         // sweep quarantines were counted by workers; rescue just resolved
@@ -714,7 +700,10 @@ pub(crate) fn run(
     let winner: Option<(u64, Witness)> = {
         cand_list.sort_by_key(|&(g, _, _)| g);
         cand_list.into_iter().next().map(|(g, idxs, w)| {
-            let w = w.unwrap_or_else(|| recompute_witness(verifier, property, options, &idxs));
+            let w = w.unwrap_or_else(|| {
+                recompute_witness(verifier, property, options, &idxs)
+                    .expect("a rescue-found violation violates under every engine")
+            });
             (g, w)
         })
     };
@@ -760,28 +749,26 @@ pub(crate) fn run(
     verdict
 }
 
-/// Recomputes the witness of a checkpointed candidate. Deterministic: the
-/// candidate's site indices identify the combination, and the engine's
-/// verdict for one combination is a pure function of netlist + property.
-/// Budget and prefilter are disabled — the combination already proved it
-/// violates, so capacity concessions must not re-quarantine it.
-fn recompute_witness(
+/// Recomputes the witness of a recorded violation. Deterministic: the site
+/// indices identify the combination, and the engine's verdict for one
+/// combination is a pure function of netlist + property. Budget and
+/// prefilter are disabled — the combination already proved it violates, so
+/// capacity concessions must not re-quarantine it. `None` if it does not
+/// violate (a checkpoint that does not fit this run).
+pub(crate) fn recompute_witness(
     verifier: &Verifier,
     property: Property,
     options: &VerifyOptions,
     idxs: &[usize],
-) -> Witness {
+) -> Option<Witness> {
     let mut opts = options.clone();
     opts.node_budget = None;
     opts.prefilter = false;
     let mut state = verifier.begin_enumeration(property, &opts);
     let mut stats = CheckStats::default();
     match verifier.check_indices(&mut state, property, false, idxs, &mut stats) {
-        ComboStep::Violation(w) => w,
-        _ => unreachable!(
-            "checkpointed candidate no longer violates — checkpoint does not \
-             match this netlist/property (fingerprint collision?)"
-        ),
+        ComboStep::Violation(w) => Some(w),
+        ComboStep::Clean | ComboStep::Pruned => None,
     }
 }
 

@@ -178,8 +178,8 @@ impl Session {
 
     /// Post-sweep rescue pass on/off (off by default). When on, every
     /// quarantined combination is re-verified through a deterministic
-    /// escalation ladder — doubled node budgets, then BDD variable sifting,
-    /// then engine fallback (see [`crate::recover`]) — and the verdict
+    /// escalation ladder — doubled node budgets up to the rescue cap, then
+    /// engine fallback (see [`crate::recover`]) — and the verdict
     /// upgrades from `Inconclusive` to `Secure`/`Violated` if *every*
     /// quarantine resolves. Results stay byte-identical across thread
     /// counts and checkpoint/resume.
@@ -190,9 +190,10 @@ impl Session {
     }
 
     /// Number of budget-doubling attempts on the first rescue rung
-    /// (default [`crate::recover::DEFAULT_RESCUE_ATTEMPTS`]). Implies
-    /// nothing about the later sift/fallback rungs, which always run once
-    /// each if reached.
+    /// (default [`crate::recover::DEFAULT_RESCUE_ATTEMPTS`]). A climb that
+    /// stops below the cap (see [`Session::rescue_budget`]) ends with one
+    /// attempt at the cap, even at `0`; each engine fallback runs once if
+    /// reached.
     #[must_use]
     pub fn rescue_attempts(mut self, attempts: u32) -> Self {
         self.job.spec_mut().rescue.attempts = attempts;

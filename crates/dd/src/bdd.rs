@@ -20,8 +20,8 @@
 //!
 //! The variable order is static (variable `0` is tested first). This suits the
 //! probing-security workload, where the order is fixed by the circuit's input
-//! declaration and never reordered mid-analysis (the sweep-time exception is
-//! [`crate::reorder`], which builds a separate sifted manager).
+//! declaration: spectral coordinates are masks over those same variables, so
+//! the package offers no reordering.
 //!
 //! ```
 //! use walshcheck_dd::bdd::BddManager;
@@ -123,10 +123,6 @@ pub struct BddManager {
     apply_cache: BinaryApplyCache,
     ite_cache: TernaryApplyCache,
     quant_cache: FastMap<(Bdd, u128, bool), Bdd>,
-    /// Handles registered via [`BddManager::add_ref`], which structure
-    /// rewrites (sifting) must preserve even when they are not listed as
-    /// roots of the rewrite.
-    external: Vec<Bdd>,
     budget: NodeBudget,
     num_vars: u32,
 }
@@ -160,7 +156,6 @@ impl BddManager {
             apply_cache: BinaryApplyCache::new(BINARY_CACHE_SLOTS),
             ite_cache: TernaryApplyCache::new(TERNARY_CACHE_SLOTS),
             quant_cache: FastMap::default(),
-            external: Vec::new(),
             budget: NodeBudget::default(),
             num_vars,
         }
@@ -210,28 +205,6 @@ impl BddManager {
         self.num_vars += 1;
         self.unique.push(Subtable::default());
         v
-    }
-
-    /// Registers `f` as externally held: structure rewrites such as
-    /// [`crate::reorder::sift`] will transfer it even when the caller does
-    /// not list it as a root (see [`crate::reorder::SiftResult::image_of`]).
-    pub fn add_ref(&mut self, f: Bdd) {
-        if !self.external.contains(&f) {
-            self.external.push(f);
-        }
-    }
-
-    /// Drops an external registration made by [`BddManager::add_ref`];
-    /// unknown handles are ignored.
-    pub fn del_ref(&mut self, f: Bdd) {
-        if let Some(i) = self.external.iter().position(|&x| x == f) {
-            self.external.remove(i);
-        }
-    }
-
-    /// The externally registered handles, in registration order.
-    pub fn external_refs(&self) -> &[Bdd] {
-        &self.external
     }
 
     /// Total number of live nodes in the arena (including both terminals).
@@ -1007,22 +980,6 @@ mod tests {
         for a in 0..64u128 {
             assert_eq!(small.eval(f, a), big.eval(g, a), "at {a:b}");
         }
-    }
-
-    #[test]
-    fn external_refs_register_and_release() {
-        let mut m = mgr();
-        let x = m.var(VarId(0));
-        let y = m.var(VarId(1));
-        let f = m.and(x, y);
-        m.add_ref(f);
-        m.add_ref(f); // idempotent
-        m.add_ref(x);
-        assert_eq!(m.external_refs(), &[f, x]);
-        m.del_ref(f);
-        assert_eq!(m.external_refs(), &[x]);
-        m.del_ref(f); // unknown handles are ignored
-        assert_eq!(m.external_refs(), &[x]);
     }
 
     #[test]

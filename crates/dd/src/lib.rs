@@ -12,7 +12,6 @@
 //! * [`threshold`] — cardinality-threshold BDDs used to build the
 //!   non-interference relation matrix `T(α, ρ)`;
 //! * [`anf`] — sparse algebraic normal form via the Möbius transform;
-//! * [`reorder`] — variable-order transfer and greedy sifting;
 //! * [`dot`] — Graphviz export for debugging;
 //! * [`fasthash`] — the fast multiplicative hasher behind the managers' hot
 //!   tables, exported as [`FastMap`]/[`FastSet`] for other crates' hot paths.
@@ -58,7 +57,6 @@ pub mod budget;
 pub mod dot;
 pub mod dyadic;
 pub mod fasthash;
-pub mod reorder;
 pub mod spectral;
 mod table;
 pub mod threshold;

@@ -398,47 +398,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Order transfer preserves semantics for arbitrary expressions and
-    /// permutations; sifting never increases the shared node count.
-    #[test]
-    fn reorder_preserves_semantics(e in expr_strategy(), seed in any::<u64>()) {
-        use walshcheck_dd::reorder::{sift, transfer};
-        let mut src = BddManager::new(NVARS);
-        let f = build(&mut src, &e);
-        // A pseudo-random permutation of the variables.
-        let mut perm: Vec<u32> = (0..NVARS).collect();
-        let mut state = seed | 1;
-        for i in (1..perm.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (state >> 33) as usize % (i + 1);
-            perm.swap(i, j);
-        }
-        let map: Vec<VarId> = perm.iter().map(|&v| VarId(v)).collect();
-        let mut dst = BddManager::new(NVARS);
-        let moved = transfer(&src, &[f], &mut dst, &map)[0];
-        for a in 0..1u128 << NVARS {
-            let mut remapped = 0u128;
-            for (i, &p) in perm.iter().enumerate() {
-                if a >> i & 1 == 1 {
-                    remapped |= 1 << p;
-                }
-            }
-            prop_assert_eq!(src.eval(f, a), dst.eval(moved, remapped));
-        }
-        // Sifting: never worse, semantics preserved under its order.
-        let result = sift(&src, &[f]);
-        prop_assert!(result.after <= result.before);
-        for a in 0..1u128 << NVARS {
-            let mut remapped = 0u128;
-            for i in 0..NVARS as usize {
-                if a >> i & 1 == 1 {
-                    remapped |= 1 << result.order[i].0;
-                }
-            }
-            prop_assert_eq!(src.eval(f, a), result.manager.eval(result.roots[0], remapped));
-        }
-    }
-
     /// The sparse ANF agrees with the function on every point, degree is
     /// bounded by the variable count, and to_bdd round-trips.
     #[test]

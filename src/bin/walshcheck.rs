@@ -40,12 +40,13 @@
 //!                                    at any cut
 //!   --rescue                         re-verify quarantined combinations after
 //!                                    the sweep through an escalation ladder
-//!                                    (doubled budgets, BDD sifting, engine
+//!                                    (doubled budgets up to the cap, engine
 //!                                    fallback); upgrades Inconclusive verdicts
 //!                                    when every quarantine resolves
 //!   --no-rescue                      disable the rescue pass (the default)
 //!   --rescue-attempts N              budget-doubling attempts on the first
-//!                                    rescue rung (default 3)
+//!                                    rescue rung (default 3), which ends
+//!                                    with one attempt at the cap
 //!   --rescue-budget BYTES            cap on any single rescue attempt's node
 //!                                    budget (default 256 MiB)
 //!   --checkpoint FILE                periodically persist run progress

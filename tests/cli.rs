@@ -99,7 +99,7 @@ fn errors_are_reported_cleanly() {
     assert!(stderr.contains("unknown engine"), "{stderr}");
     let (_, _, code) = walshcheck(&["frobnicate"]);
     assert_eq!(code, Some(3));
-    // Sifting runs only on the rescue ladder and `--cache-budget 0`
+    // walshcheck never reorders variables, and `--cache-budget 0`
     // replaces `--no-cache`; the old flags are gone.
     for line in [
         "check bench:dom-1 --presift",
@@ -193,17 +193,25 @@ fn checkpoint_resume_round_trips_via_cli() {
     assert_eq!(code, Some(0), "{resumed}");
     assert!(resumed.contains("\"outcome\":\"secure\""), "{resumed}");
     assert!(resumed.contains("\"resumed\":true"), "{resumed}");
-    // Resuming against a different circuit is rejected up front.
-    let (_, stderr, code) = walshcheck(&[
-        "check",
-        "bench:dom-1",
-        "--property",
-        "sni",
-        "--resume",
-        ck_str,
-    ]);
-    assert_eq!(code, Some(3), "{stderr}");
-    assert!(stderr.contains("fingerprint mismatch"), "{stderr}");
+    // Resuming against a different circuit is rejected up front (the
+    // fingerprint is checked first), and so is a matching checkpoint whose
+    // evidence does not fit the run: a candidate naming a site dom-2 does
+    // not have, inside the frontier.
+    let doctored = text.replace(
+        "\"candidates\":[]",
+        "\"candidates\":[{\"index\":0,\"sites\":[999]}]",
+    );
+    assert_ne!(doctored, text, "{text}");
+    std::fs::write(&ck, &doctored).expect("checkpoint writable");
+    for (bench, message) in [
+        ("bench:dom-1", "fingerprint mismatch"),
+        ("bench:dom-2", "bad checkpoint"),
+    ] {
+        let (_, stderr, code) =
+            walshcheck(&["check", bench, "--property", "sni", "--resume", ck_str]);
+        assert_eq!(code, Some(3), "{stderr}");
+        assert!(stderr.contains(message), "{stderr}");
+    }
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! everything env-touching serializes on one lock.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[cfg(feature = "fault-inject")]
 use std::time::{Duration, Instant};
 
@@ -25,7 +25,8 @@ use walshcheck::core::iofs::CrashMode;
 use walshcheck::core::json::{self, Json};
 use walshcheck::core::{Job, JobSpec, Report};
 use walshcheck::daemon::crashsim;
-use walshcheck::daemon::store::FsyncEvents;
+use walshcheck::daemon::jobs::{JobManager, PoolConfig};
+use walshcheck::daemon::store::{FsyncEvents, Store};
 use walshcheck::prelude::*;
 
 /// Serializes the tests that set `WALSHCHECK_FAULT` or spawn children
@@ -206,41 +207,22 @@ fn schedule_pins_rename_durability_and_status_before_index() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A torn `checkpoint.ck` (written through the `store-torn-write` fault
-/// hook — the same I/O-layer tear the integrity scan hunts) must never
-/// fail the job: the runner logs a `checkpoint-rejected` event,
-/// quarantines the file, and re-runs from scratch to identical bytes.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn torn_checkpoint_falls_back_to_a_from_scratch_run() {
-    use std::sync::Arc;
-    use walshcheck::daemon::jobs::{JobManager, PoolConfig};
-    use walshcheck::daemon::store::Store;
-
-    let _guard = env_lock();
-    let root = temp_dir("torn-ck");
+/// Plants a `checkpoint.ck` for a freshly submitted job through `plant`,
+/// runs the job, and checks the fallback a rejected checkpoint must take:
+/// the runner logs a `checkpoint-rejected` event, quarantines the file,
+/// and re-runs from scratch to identical bytes — never a failed job.
+fn assert_rejected_checkpoint_falls_back(tag: &str, plant: impl FnOnce(&JobManager, &str)) {
+    let root = temp_dir(tag);
     let store = Store::open(&root).expect("store opens");
     let manager = Arc::new(
-        JobManager::open(store, Duration::ZERO, PoolConfig::default()).expect("manager opens"),
+        JobManager::open(store, std::time::Duration::ZERO, PoolConfig::default())
+            .expect("manager opens"),
     );
     let submitted = manager
         .submit(&spec_doc(), &netlist_text())
         .expect("submit");
-    {
-        // Plant the torn checkpoint through the real fault hook: half the
-        // bytes land at the final path, no fsync, no rename.
-        let _plan = FaultPlan::set("store-torn-write=checkpoint.ck");
-        let plausible = b"walshcheck-checkpoint/1\n{\"combinations\":17,\"frontier\":[[2,0]]}\n";
-        manager
-            .store()
-            .write_job_file(&submitted.id, "checkpoint.ck", plausible)
-            .expect("torn write lands");
-    }
-    let planted = std::fs::read(manager.store().job_file(&submitted.id, "checkpoint.ck"))
-        .expect("torn checkpoint exists");
-    assert!(planted.len() < 40, "the hook should have torn the write");
-
-    crashsim::run_to_done(&manager, &submitted.id).expect("job completes despite torn checkpoint");
+    plant(&manager, &submitted.id);
+    crashsim::run_to_done(&manager, &submitted.id).expect("job completes despite the checkpoint");
     let report = std::fs::read(manager.store().job_file(&submitted.id, "report.json"))
         .expect("report exists");
     assert_eq!(
@@ -261,6 +243,51 @@ fn torn_checkpoint_falls_back_to_a_from_scratch_run() {
         "the rejected checkpoint must be quarantined"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A torn `checkpoint.ck` (the `store-torn-write` fault hook's I/O-layer
+/// tear, which the integrity scan hunts) takes the rejected-checkpoint
+/// fallback.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn torn_checkpoint_falls_back_to_a_from_scratch_run() {
+    let _guard = env_lock();
+    assert_rejected_checkpoint_falls_back("torn-ck", |manager, id| {
+        // Plant the torn checkpoint through the real fault hook: half the
+        // bytes land at the final path, no fsync, no rename.
+        let _plan = FaultPlan::set("store-torn-write=checkpoint.ck");
+        let plausible = b"walshcheck-checkpoint/1\n{\"combinations\":17,\"frontier\":[[2,0]]}\n";
+        manager
+            .store()
+            .write_job_file(id, "checkpoint.ck", plausible)
+            .expect("torn write lands");
+        let planted = std::fs::read(manager.store().job_file(id, "checkpoint.ck"))
+            .expect("torn checkpoint exists");
+        assert!(planted.len() < 40, "the hook should have torn the write");
+    });
+}
+
+/// A checkpoint that parses and matches the job's fingerprint but names a
+/// site the netlist does not have takes the same fallback.
+#[test]
+fn misfit_checkpoint_falls_back_to_a_from_scratch_run() {
+    let _guard = env_lock();
+    assert_rejected_checkpoint_falls_back("misfit-ck", |manager, id| {
+        let netlist = parse_ilang(&netlist_text()).expect("canonical dump parses");
+        let options = JobSpec::new(Property::Sni(1)).options;
+        let fingerprint =
+            walshcheck::core::checkpoint::fingerprint(&netlist, Property::Sni(1), &options);
+        let misfit = format!(
+            "{{\"schema\":\"walshcheck-checkpoint/1\",\"fingerprint\":\"{fingerprint}\",\
+             \"property\":\"1-SNI\",\"combinations\":1,\"pruned\":0,\"completed\":[[0,1]],\
+             \"candidates\":[],\"skipped\":[{{\"index\":0,\"sites\":[999],\
+             \"reason\":\"node-budget\"}}],\"rescued\":[]}}"
+        );
+        manager
+            .store()
+            .write_job_file(id, "checkpoint.ck", misfit.as_bytes())
+            .expect("checkpoint lands");
+    });
 }
 
 /// Cross-checks the simulated page-cache model against reality: a child

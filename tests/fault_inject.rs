@@ -125,7 +125,7 @@ fn rescue_heals_an_injected_panic() {
 #[test]
 fn persistent_rescue_panic_exhausts_the_ladder() {
     // `rescue-panic-at` fires on *every* rescue attempt for the index, so
-    // the full ladder (plain retry, sift, two engine fallbacks off MAPI)
+    // the full ladder (plain retry, two engine fallbacks off MAPI)
     // runs and fails; the quarantine survives with its original reason.
     let guard = plan("panic-at=2,rescue-panic-at=2");
     let verdict = dom2_session().rescue(true).run();
@@ -143,7 +143,7 @@ fn persistent_rescue_panic_exhausts_the_ladder() {
     assert_eq!(recovery.unresolved, 1);
     let rec = &recovery.combinations[0];
     assert_eq!(rec.resolution, RescueResolution::Unresolved);
-    assert_eq!(rec.attempts.len(), 4, "the whole ladder was walked");
+    assert_eq!(rec.attempts.len(), 3, "the whole ladder was walked");
     assert!(rec
         .attempts
         .iter()

@@ -3,8 +3,14 @@
 //! resume identity. These drive the public `Session` API end to end the
 //! way the CLI does, but assert on the typed verdict rather than text.
 
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::OnceLock;
 use std::time::Duration;
 
+use proptest::prelude::*;
+use walshcheck::core::json::{self, Json};
+use walshcheck::core::Report;
 use walshcheck::prelude::*;
 
 fn bench(name: &str) -> Netlist {
@@ -26,6 +32,45 @@ fn tmp_checkpoint(tag: &str) -> std::path::PathBuf {
     let path = dir.join(format!("{tag}.ck"));
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// Runs `session` and returns its verdict with the report/5 artifact bytes.
+fn run_with_artifact(mut session: Session) -> (Verdict, String) {
+    let verdict = session.run();
+    let report = Report::new(session.netlist(), session.spec(), &verdict);
+    (verdict, report.canonical_json().to_owned())
+}
+
+/// A checkpoint's JSON document.
+type Doc = BTreeMap<String, Json>;
+
+/// Rewrites the checkpoint at `path` by editing its JSON document.
+fn edit_checkpoint(path: &Path, edit: impl FnOnce(&mut Doc)) {
+    let text = std::fs::read_to_string(path).expect("checkpoint readable");
+    let Ok(Json::Obj(mut doc)) = json::parse(&text) else {
+        panic!("a checkpoint is a JSON object: {text}")
+    };
+    edit(&mut doc);
+    std::fs::write(path, Json::Obj(doc).to_canonical()).expect("checkpoint writable");
+}
+
+/// The `key` array of a checkpoint document.
+fn entries<'a>(doc: &'a mut Doc, key: &str) -> &'a mut Vec<Json> {
+    match doc.get_mut(key) {
+        Some(Json::Arr(entries)) => entries,
+        other => panic!("{key} is not an array: {other:?}"),
+    }
+}
+
+/// A starved run with rescue on: `property` under `engine` at a 1-node
+/// budget.
+fn starved(netlist: &Netlist, property: Property, engine: EngineKind) -> Session {
+    Session::new(netlist)
+        .expect("valid netlist")
+        .property(property)
+        .engine(engine)
+        .node_budget(1)
+        .rescue(true)
 }
 
 /// A found witness is definitive: even when the wall clock expires during
@@ -294,14 +339,14 @@ fn starved_violation_keeps_the_identical_witness() {
     }
 }
 
-/// The sift rung — the only place variables are reordered — resolves what
-/// the budget rung cannot. Under FUJITA with a 1-node budget, one doubling
-/// attempt and a 32-node rescue cap (1,024 bytes), every quarantine fails
-/// at budget 2 and is settled by sifting at the cap: clean on dom-1, a
-/// violation on ti-1. The outcome and witness equal the unconstrained
-/// run's, and the recovery block is the same at 1 and 4 threads.
+/// The first rung's final attempt at the cap resolves what the doubling
+/// cannot. Under FUJITA with a 1-node budget, one doubling attempt and a
+/// 32-node rescue cap (1,024 bytes), every quarantine fails at budget 2 and
+/// is settled at the cap: clean on dom-1, a violation on ti-1. The outcome
+/// and witness equal the unconstrained run's, and the recovery block is the
+/// same at 1 and 4 threads.
 #[test]
-fn sift_rung_resolves_what_the_budget_rung_cannot() {
+fn the_cap_attempt_resolves_what_the_doubling_cannot() {
     for (name, resolved) in [
         ("dom-1", RescueAttemptOutcome::Clean),
         ("ti-1", RescueAttemptOutcome::Violated),
@@ -320,7 +365,7 @@ fn sift_rung_resolves_what_the_budget_rung_cannot() {
                 outcome: RescueAttemptOutcome::NodeBudget,
             },
             RescueAttempt {
-                rung: RescueRung::Sift,
+                rung: RescueRung::Budget,
                 engine: EngineKind::Fujita,
                 node_budget: Some(32),
                 outcome: resolved,
@@ -328,15 +373,10 @@ fn sift_rung_resolves_what_the_budget_rung_cannot() {
         ];
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
-            let verdict = Session::new(&netlist)
-                .expect("valid netlist")
-                .property(Property::Sni(1))
-                .engine(EngineKind::Fujita)
-                .threads(threads)
-                .node_budget(1)
-                .rescue(true)
+            let verdict = starved(&netlist, Property::Sni(1), EngineKind::Fujita)
                 .rescue_attempts(1)
                 .rescue_budget(1024)
+                .threads(threads)
                 .run();
             assert_eq!(verdict.outcome, baseline.outcome, "{name}/{threads}t");
             assert_eq!(verdict.witness, baseline.witness, "{name}/{threads}t");
@@ -408,58 +448,178 @@ fn resume_rescues_carried_quarantines() {
     assert_eq!(recovery.unresolved, 0);
 }
 
-/// Resuming a checkpoint written *mid-rescue* does not replay healed
-/// combinations and still converges to the same verdict. The mid-rescue
-/// state is reconstructed by surgery on a completed checkpoint: one entry
-/// is moved from the `rescued` array back into `skipped`, exactly the shape
-/// a kill between two rescue resolutions leaves behind.
+/// Resuming a rescued run's checkpoint reproduces its report/5 bytes and
+/// recovery block, in three shapes: the final file as written; the file a
+/// kill between two rescue resolutions leaves behind, made by moving the
+/// last `rescued` entry back into `skipped` (healed combinations are not
+/// replayed); and the file rewritten in the 0.3.0 format (revision 1),
+/// which kept no attempt log — a resolved quarantine was stored without its
+/// resolution, a rescue-found violation only as a candidate. Entries
+/// without a log go back through the ladder, which writes the same records
+/// again. ti-1's violation is found by the rescue pass: at the cap under
+/// FUJITA, and by engine fallback for SNI(2) under LIL. Its files are
+/// refused in three shapes: in the 0.3.0 format (which cannot say whether
+/// the rescue pass found the candidate), with the candidate dropped (a
+/// violated record without it), and with every record flipped to clean (a
+/// clean record beside a candidate). dom-2 holds neither, so those two
+/// edits leave its file as it was.
 #[test]
 fn resume_from_mid_rescue_checkpoint_converges() {
-    let netlist = bench("dom-2");
-    let path = tmp_checkpoint("dom2-mid-rescue");
-    let direct = Session::new(&netlist)
-        .expect("valid netlist")
-        .property(Property::Sni(2))
-        .node_budget(1)
-        .rescue(true)
-        .checkpoint_to(&path, Duration::ZERO)
-        .run();
-    assert_eq!(direct.outcome, Outcome::Secure);
-    let attempted = direct.recovery.as_ref().expect("rescue ran").attempted;
-
-    // Move the first rescued entry back into the skipped list.
-    let text = std::fs::read_to_string(&path).expect("checkpoint readable");
-    let rs = text.find("\"rescued\":[").expect("rescued array") + "\"rescued\":[".len();
-    let entry_end = rs + text[rs..].find('}').expect("rescued entry") + 1;
-    let entry = text[rs..entry_end].to_string();
-    let mut tail = text[entry_end..].to_string();
-    if tail.starts_with(',') {
-        tail.remove(0);
-    }
-    let without = format!("{}{}", &text[..rs], tail);
-    let ss = without.find("\"skipped\":[").expect("skipped array") + "\"skipped\":[".len();
-    let insert = if without[ss..].starts_with(']') {
-        entry
-    } else {
-        format!("{entry},")
+    let default = walshcheck::core::recover::DEFAULT_RESCUE_BUDGET;
+    let cases = [
+        ("dom-2", Property::Sni(2), EngineKind::Mapi, 3, default),
+        ("ti-1", Property::Sni(1), EngineKind::Fujita, 1, 1024),
+        ("ti-1", Property::Sni(2), EngineKind::Lil, 1, default),
+    ];
+    let mid_rescue = |doc: &mut Doc| {
+        let last = entries(doc, "rescued").pop().expect("a rescued entry");
+        entries(doc, "skipped").push(last);
     };
-    let doctored = format!("{}{}{}", &without[..ss], insert, &without[ss..]);
-    std::fs::write(&path, doctored).expect("checkpoint writable");
+    let format_0_3_0 = |doc: &mut Doc| {
+        doc.remove("revision").expect("a revision key");
+        entries(doc, "rescued").retain_mut(|entry| {
+            let Json::Obj(fields) = entry else {
+                panic!("a rescued entry is an object")
+            };
+            fields.remove("attempts");
+            fields.remove("resolution") == Some(Json::str("clean"))
+        })
+    };
+    let flipped = |doc: &mut Doc| {
+        for entry in entries(doc, "rescued") {
+            if let Json::Obj(fields) = entry {
+                fields.insert("resolution".into(), Json::str("clean"));
+            }
+        }
+    };
+    for (name, property, engine, attempts, cap) in cases {
+        let netlist = bench(name);
+        let session = || {
+            starved(&netlist, property, engine)
+                .rescue_attempts(attempts)
+                .rescue_budget(cap)
+        };
+        let path = tmp_checkpoint(&format!("{name}-{engine}-resume"));
+        let (direct, artifact) = run_with_artifact(session().checkpoint_to(&path, Duration::ZERO));
+        assert!(direct.recovery.as_ref().expect("rescue ran").attempted > 0);
+        let written = std::fs::read_to_string(&path).expect("checkpoint readable");
+        for shape in ["final", "mid-rescue", "0.3.0", "no candidate", "flipped"] {
+            std::fs::write(&path, &written).expect("checkpoint writable");
+            match shape {
+                "mid-rescue" => edit_checkpoint(&path, mid_rescue),
+                "0.3.0" => edit_checkpoint(&path, format_0_3_0),
+                "no candidate" => edit_checkpoint(&path, |doc| entries(doc, "candidates").clear()),
+                "flipped" => edit_checkpoint(&path, flipped),
+                _ => {}
+            }
+            let admitted = session().resume_from(&path);
+            if direct.witness.is_some() && !["final", "mid-rescue"].contains(&shape) {
+                assert!(
+                    matches!(admitted, Err(Error::Checkpoint(_))),
+                    "{name} {engine} {shape}"
+                );
+                continue;
+            }
+            let (resumed, resumed_artifact) = run_with_artifact(admitted.expect("admitted"));
+            assert_eq!(resumed.recovery, direct.recovery, "{name} {engine} {shape}");
+            assert_eq!(resumed_artifact, artifact, "{name} {engine} {shape}");
+        }
+    }
+}
 
-    let resumed = Session::new(&netlist)
-        .expect("valid netlist")
-        .property(Property::Sni(2))
-        .node_budget(1)
-        .rescue(true)
-        .resume_from(&path)
-        .expect("fingerprint matches")
-        .run();
-    assert_eq!(resumed.outcome, direct.outcome);
-    assert_eq!(resumed.witness, direct.witness);
-    assert_eq!(resumed.skipped, direct.skipped);
-    let recovery = resumed.recovery.expect("rescue ran");
-    assert_eq!(recovery.attempted, attempted, "carried + replayed add up");
-    assert_eq!(recovery.unresolved, 0);
+/// A checkpoint whose fingerprint matches but whose evidence does not fit
+/// the run is rejected as a bad checkpoint instead of crashing the run: an
+/// entry with a site out of range (quarantined, rescued or candidate), a
+/// real combination recorded as a candidate that does not violate,
+/// counters past the combination space, and a violated rescue record
+/// without its candidate.
+#[test]
+fn resume_rejects_evidence_that_does_not_fit_the_run() {
+    let netlist = bench("dom-1");
+    let session = || {
+        Session::new(&netlist)
+            .expect("valid netlist")
+            .property(Property::Sni(1))
+    };
+    let path = tmp_checkpoint("dom1-misfit");
+    session().checkpoint_to(&path, Duration::ZERO).run();
+    let original = std::fs::read_to_string(&path).expect("checkpoint readable");
+    let misfits = [
+        (
+            "skipped",
+            r#"{"index":0,"sites":[999],"reason":"node-budget"}"#,
+        ),
+        (
+            "rescued",
+            r#"{"index":0,"sites":[0,999],"reason":"node-budget","resolution":"clean","attempts":[]}"#,
+        ),
+        ("candidates", r#"{"index":0,"sites":[999]}"#),
+        ("candidates", r#"{"index":0,"sites":[0]}"#),
+        ("pruned", "1000000"),
+        (
+            "rescued",
+            r#"{"index":0,"sites":[0],"reason":"node-budget","resolution":"violated","attempts":[]}"#,
+        ),
+    ];
+    for (key, misfit) in misfits {
+        std::fs::write(&path, &original).expect("checkpoint writable");
+        let value = json::parse(misfit).expect("valid JSON");
+        edit_checkpoint(&path, |doc| match doc.get_mut(key) {
+            Some(Json::Arr(list)) => list.push(value),
+            _ => {
+                doc.insert(key.into(), value);
+            }
+        });
+        let err = session().resume_from(&path).expect_err("does not fit");
+        assert!(matches!(err, Error::Checkpoint(_)), "{key} {misfit}: {err}");
+    }
+}
+
+/// The base file the resume fuzzer damages: the final checkpoint of the
+/// starved, rescued dom-2 run.
+fn fuzz_base() -> &'static str {
+    static BASE: OnceLock<String> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let path = tmp_checkpoint("dom2-fuzz-base");
+        starved(&bench("dom-2"), Property::Sni(2), EngineKind::Mapi)
+            .checkpoint_to(&path, Duration::ZERO)
+            .run();
+        std::fs::read_to_string(&path).expect("checkpoint readable")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Resuming a damaged checkpoint — truncated at any byte, or with one
+    /// integer replaced by 0, 1, 12, 999 or `u64::MAX` — either fails with
+    /// an error or runs to completion; it never panics, and no worker is
+    /// lost to a panic.
+    #[test]
+    fn damaged_checkpoints_are_rejected_or_resume(pick in any::<u64>(), edit in 0usize..6) {
+        let base = fuzz_base();
+        let damaged = if edit == 0 {
+            base[..pick as usize % base.len()].to_string()
+        } else {
+            // Integer tokens: digit runs right after `:`, `[` or `,`.
+            let b = base.as_bytes();
+            let starts: Vec<usize> = (1..b.len())
+                .filter(|&i| b[i].is_ascii_digit() && b":[,".contains(&b[i - 1]))
+                .collect();
+            let start = starts[pick as usize % starts.len()];
+            let end = start + b[start..].iter().take_while(|c| c.is_ascii_digit()).count();
+            let value = [0, 1, 12, 999, u64::MAX][edit - 1];
+            format!("{}{value}{}", &base[..start], &base[end..])
+        };
+        let path = tmp_checkpoint("dom2-fuzz");
+        std::fs::write(&path, &damaged).expect("checkpoint writable");
+        let netlist = bench("dom-2");
+        let session = starved(&netlist, Property::Sni(2), EngineKind::Mapi);
+        if let Ok(mut session) = session.resume_from(&path) {
+            let verdict = session.run();
+            prop_assert_eq!(verdict.stats.worker_failures, 0, "{}", damaged);
+        }
+    }
 }
 
 /// Resuming a run that already found its violation re-derives the *same*
