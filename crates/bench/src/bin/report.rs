@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! report [--full] [--limit SECS] [table1|table2|table3|fig6|fig7|all]
-//! report --json BENCH_5.json [--label NAME] [--samples N] [--full]
 //! report --table1-smoke BENCH_10.json [--factor F] [--samples N]
 //! ```
 //!
@@ -12,28 +11,20 @@
 //! the reproduced quantities are the *ratios* between engines on identical
 //! workloads. Figures are emitted as CSV series ready for plotting.
 //!
-//! `--json` records the machine-readable perf trajectory: per-gadget
-//! LIL/FUJITA/MAP/MAPI medians over `--samples` runs (default 5) plus the
-//! Table I MAPI-vs-LIL speedup median, appended as a labeled run to the
-//! given file (an existing run with the same label is replaced, everything
-//! else is preserved — the file is the project's perf history).
-//!
-//! `--table1-smoke` guards the high-order speed knobs specifically: it
-//! re-times the dom-2 MAPI check against the last recorded run with a
-//! tight default factor (1.1 — the knobs must not cost what they bought),
-//! then runs a determinism A/B on the same gadget — report/5 artifacts
-//! across dense kernel on/off × 1/4 workers must be byte-identical, since
-//! neither is part of the job identity. The perf leg compares the Table I
-//! *speed-up* (LIL/MAPI) rather than absolute seconds so machine speed and
-//! CI load cancel out; absolute MAPI times are gated by walshbench's
-//! `table1` workload (see `BENCHMARK.json`).
+//! `--table1-smoke` guards the Table I speed-up on dom-2: it re-times the
+//! LIL and MAPI checks against the last run recorded in the given file with
+//! a tight default factor (1.1), then checks that the report/5 artifact is
+//! byte-identical at 1 and 4 workers, since the thread count is not part
+//! of the job identity. The perf leg compares the *speed-up* (LIL/MAPI)
+//! rather than absolute seconds so machine speed and CI load cancel out;
+//! absolute MAPI times are gated by walshbench's `table1` workload (see
+//! `BENCHMARK.json`).
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use walshcheck_bench::{
-    emit_json_pretty, median, paper_property, round_secs, run_bloem_like, run_engine_with,
-    run_heuristic, run_silver_like, secs, tables, RunResult,
+    median, paper_property, run_bloem_like, run_engine_with, run_heuristic, run_silver_like, secs,
+    tables, RunResult,
 };
 use walshcheck_core::engine::EngineKind;
 use walshcheck_core::json::{self, Json};
@@ -220,84 +211,13 @@ fn fig7(results: &[(Benchmark, [RunResult; 4])]) {
     }
 }
 
-/// The engine column order used by the JSON records.
-const ENGINES: [(EngineKind, &str); 4] = [
-    (EngineKind::Lil, "lil"),
-    (EngineKind::Fujita, "fujita"),
-    (EngineKind::Map, "map"),
-    (EngineKind::Mapi, "mapi"),
-];
-
-/// Median wall-clock seconds of `samples` runs of each engine on `bench`.
-fn engine_medians(bench: Benchmark, samples: usize, limit: Option<Duration>) -> [f64; 4] {
-    ENGINES.map(|(engine, _)| {
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| secs(run_engine_with(bench, engine, limit).total))
-            .collect();
-        median(&mut times)
-    })
-}
-
-/// Runs the perf-trajectory measurement and records it in `path` under
-/// `label` (see the module docs for the file layout).
-fn json_mode(path: &str, label: &str, samples: usize, full: bool, limit: Option<Duration>) {
-    let benches = bench_set(full);
-    let mut gadgets = Vec::new();
-    let mut speedups = Vec::new();
-    for &b in &benches {
-        eprintln!("measuring {b} ({samples} samples per engine) ...");
-        let m = engine_medians(b, samples, limit);
-        let speedup = m[0] / m[3].max(1e-9);
-        speedups.push(speedup);
-        let mut entry = BTreeMap::new();
-        entry.insert("gadget".to_string(), Json::Str(b.name()));
-        for (i, (_, key)) in ENGINES.iter().enumerate() {
-            entry.insert(key.to_string(), Json::Float(round_secs(m[i])));
-        }
-        entry.insert(
-            "table1_speedup".to_string(),
-            Json::Float(round_secs(speedup)),
-        );
-        gadgets.push(Json::Obj(entry));
-    }
-    let mut run = BTreeMap::new();
-    run.insert("label".to_string(), Json::Str(label.to_string()));
-    run.insert("samples".to_string(), Json::Int(samples as i64));
-    run.insert("gadgets".to_string(), Json::Arr(gadgets));
-    run.insert(
-        "table1_speedup_median".to_string(),
-        Json::Float(round_secs(median(&mut speedups))),
-    );
-
-    // Merge with the existing history: drop any run with the same label,
-    // keep everything else in order, append the new run last (table1-smoke
-    // uses the last run as its baseline).
-    let mut runs: Vec<Json> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|doc| doc.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    runs.retain(|r| r.get("label").and_then(Json::as_str) != Some(label));
-    runs.push(Json::Obj(run));
-
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_string(),
-        Json::Str("walshcheck-bench/perf-1".to_string()),
-    );
-    doc.insert("runs".to_string(), Json::Arr(runs));
-    std::fs::write(path, emit_json_pretty(&Json::Obj(doc))).expect("perf file writable");
-    eprintln!("recorded run `{label}` in {path}");
-}
-
 /// The gadget guarded by the table1 smoke: the smallest second-order
-/// benchmark, so the dense kernel is exercised on every push without the
-/// job dominating CI time.
+/// benchmark, so the smoke runs on every push without dominating CI time.
 const TABLE1_SMOKE_GADGET: &str = "dom-2";
 
-/// Guards PR-10's speed knobs: the dom-2 Table I speed-up (LIL/MAPI) must
-/// not drop more than `factor` below the last recorded run, and report/5
-/// artifacts must stay byte-identical across the knob matrix.
+/// The dom-2 Table I speed-up (LIL/MAPI) must not drop more than `factor`
+/// below the last recorded run, and the report/5 artifact must stay
+/// byte-identical across thread counts.
 fn table1_smoke(path: &str, factor: f64, samples: usize) {
     use walshcheck_core::{Job, JobSpec, Report, VerifyOptions};
 
@@ -363,13 +283,11 @@ fn table1_smoke(path: &str, factor: f64, samples: usize) {
         failed = true;
     }
 
-    // Determinism leg: one base artifact, then every A/B leg of the knob
-    // matrix must reproduce its exact bytes and hash.
+    // Determinism leg: the artifact must not depend on the worker count.
     let netlist = bench.netlist();
-    let artifact = |dense_cut: u32, threads: usize| {
+    let artifact = |threads: usize| {
         let mut spec = JobSpec::new(paper_property(bench));
         spec.options = VerifyOptions::paper(EngineKind::Mapi);
-        spec.options.dense_cut = dense_cut;
         spec.threads = threads;
         let mut job = Job::new(&netlist, spec).expect("benchmark netlists are valid");
         let verdict = job.run();
@@ -379,19 +297,13 @@ fn table1_smoke(path: &str, factor: f64, samples: usize) {
             report.hash().to_string(),
         )
     };
-    let default_cut = VerifyOptions::default().dense_cut;
-    let (base_bytes, base_hash) = artifact(default_cut, 1);
-    for (dense_cut, threads) in [(0, 1), (default_cut, 4), (0, 4)] {
-        let (bytes, hash) = artifact(dense_cut, threads);
-        if bytes != base_bytes || hash != base_hash {
-            eprintln!(
-                "table1-smoke: artifact diverged at dense_cut={dense_cut} \
-                 threads={threads} ({hash} vs {base_hash})"
-            );
-            failed = true;
-        } else {
-            println!("table1-smoke: artifact stable at dense_cut={dense_cut} threads={threads}");
-        }
+    let (base_bytes, base_hash) = artifact(1);
+    let (bytes, hash) = artifact(4);
+    if bytes != base_bytes || hash != base_hash {
+        eprintln!("table1-smoke: artifact diverged at threads=4 ({hash} vs {base_hash})");
+        failed = true;
+    } else {
+        println!("table1-smoke: artifact stable at threads=1 and threads=4");
     }
     if failed {
         std::process::exit(1);
@@ -431,12 +343,6 @@ fn main() {
         } else {
             None
         });
-
-    if let Some(path) = flag_value(&args, "--json") {
-        let label = flag_value(&args, "--label").unwrap_or("current");
-        json_mode(path, label, samples, full, limit);
-        return;
-    }
 
     let what = args
         .iter()

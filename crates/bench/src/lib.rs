@@ -18,14 +18,10 @@
 
 use std::time::{Duration, Instant};
 
-use std::fmt::Write as _;
-
-use walshcheck_core::engine::{EngineKind, VerifyOptions, DEFAULT_CACHE_BUDGET};
+use walshcheck_core::engine::{EngineKind, VerifyOptions};
 use walshcheck_core::exhaustive::exhaustive_check;
 use walshcheck_core::heuristic::heuristic_check;
-use walshcheck_core::json::Json;
 use walshcheck_core::property::Property;
-use walshcheck_core::report::json_escape;
 use walshcheck_core::session::Session;
 use walshcheck_core::sites::SiteOptions;
 use walshcheck_gadgets::suite::Benchmark;
@@ -167,154 +163,6 @@ pub fn run_silver_like(bench: Benchmark) -> Option<RunResult> {
         combinations: verdict.stats.combinations,
         timed_out: false,
     })
-}
-
-/// One row of the prefix-cache A/B comparison: the same check timed with
-/// the cache enabled and disabled.
-#[derive(Debug, Clone)]
-pub struct CacheComparison {
-    /// Gadget name.
-    pub gadget: String,
-    /// Worker-thread count of both runs.
-    pub threads: usize,
-    /// Median wall time with the prefix cache enabled.
-    pub cached: Duration,
-    /// Median wall time with the cache disabled.
-    pub uncached: Duration,
-    /// `uncached / cached` (> 1 means the cache wins).
-    pub speedup: f64,
-    /// Prefix-cache hits of the last cached run.
-    pub hits: u64,
-    /// Prefix-cache misses of the last cached run.
-    pub misses: u64,
-}
-
-/// The property the cache A/B benchmark checks: NI two orders above the
-/// gadget's design order, so the enumeration reaches tuples of three or
-/// more probes — where consecutive tuples share convolution prefixes.
-pub fn cache_ab_property(bench: Benchmark) -> Property {
-    Property::Ni(bench.security_order() + 2)
-}
-
-/// Times the cache A/B workload of `bench` at `threads` workers with the
-/// prefix cache on and off, `samples` times each (median reported).
-///
-/// The workload checks [`cache_ab_property`] with the MAP engine in
-/// row-wise mode without the prefilter: convolution chains dominate, and
-/// every surviving tuple re-derives its proper prefix when the cache is
-/// off. Caching is a pure time/memory trade, so the harness asserts the
-/// verdict *and* witness are identical before reporting a row.
-///
-/// # Panics
-///
-/// Panics if the generated benchmark netlist is invalid (a bug), or if the
-/// two modes disagree on the verdict or witness (the cache-transparency
-/// guarantee would be broken).
-pub fn compare_cache_modes(bench: Benchmark, threads: usize, samples: usize) -> CacheComparison {
-    let netlist = bench.netlist();
-    let property = cache_ab_property(bench);
-    let options = VerifyOptions::builder()
-        .engine(EngineKind::Map)
-        .mode(walshcheck_core::CheckMode::RowWise)
-        .prefilter(false)
-        .build();
-    let run = |cache_budget: usize| {
-        let mut session = Session::new(&netlist)
-            .expect("benchmark netlists are valid")
-            .property(property)
-            .options(options.clone())
-            .cache_budget(cache_budget)
-            .threads(threads);
-        let start = Instant::now();
-        let verdict = session.run();
-        (secs(start.elapsed()), verdict)
-    };
-    let mut cached_s = Vec::new();
-    let mut uncached_s = Vec::new();
-    let mut stats = (0, 0);
-    for _ in 0..samples.max(1) {
-        let (t_on, on) = run(DEFAULT_CACHE_BUDGET);
-        cached_s.push(t_on);
-        let (t_off, off) = run(0);
-        uncached_s.push(t_off);
-        assert_eq!(on.secure, off.secure, "{bench}: cache changes the verdict");
-        assert_eq!(
-            on.witness, off.witness,
-            "{bench}: cache changes the witness"
-        );
-        stats = (on.stats.cache_hits, on.stats.cache_misses);
-    }
-    let cached = Duration::from_secs_f64(median(&mut cached_s));
-    let uncached = Duration::from_secs_f64(median(&mut uncached_s));
-    CacheComparison {
-        gadget: bench.name(),
-        threads,
-        cached,
-        uncached,
-        speedup: secs(uncached) / secs(cached).max(1e-9),
-        hits: stats.0,
-        misses: stats.1,
-    }
-}
-
-/// Serializes a [`Json`] value with two-space indentation — the perf
-/// trajectory files (BENCH_*.json) are checked into the repository, so they
-/// should diff well.
-pub fn emit_json_pretty(j: &Json) -> String {
-    fn emit(j: &Json, indent: usize, out: &mut String) {
-        let pad = "  ".repeat(indent);
-        match j {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Float(f) => {
-                let _ = write!(out, "{f}");
-            }
-            Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", json_escape(s));
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    emit(item, indent + 1, out);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    let _ = write!(out, "{pad}  \"{}\": ", json_escape(k));
-                    emit(v, indent + 1, out);
-                    out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-    let mut out = String::new();
-    emit(j, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-/// Rounds a seconds value to microsecond precision so checked-in perf files
-/// stay stable and readable.
-pub fn round_secs(s: f64) -> f64 {
-    (s * 1e6).round() / 1e6
 }
 
 /// Median of a sequence of `f64` values (0.0 for an empty slice).

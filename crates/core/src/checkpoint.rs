@@ -38,7 +38,7 @@ use crate::json::{self, Json};
 use crate::property::{IncompleteReason, Property, Witness};
 use crate::recover::{RescueAttempt, RescueResolution};
 use crate::report::json_escape;
-use crate::scheduler::{binomial, bucket_sizes, bucket_total, recompute_witness};
+use crate::scheduler::{binomial, bucket_sizes, bucket_total};
 
 /// Schema tag of the checkpoint format.
 pub const CHECKPOINT_SCHEMA: &str = "walshcheck-checkpoint/1";
@@ -177,7 +177,8 @@ impl Checkpoint {
         property: Property,
         options: &VerifyOptions,
     ) -> Result<Checkpoint, Error> {
-        let n = verifier.begin_enumeration(property, options).sites.len();
+        let run_sites = verifier.begin_enumeration(property, options).sites;
+        let n = run_sites.len();
         let sizes = bucket_sizes(property, options, n);
         let total = bucket_total(&sizes, n);
         if self.combinations > total || self.pruned > self.combinations {
@@ -214,8 +215,8 @@ impl Checkpoint {
                 )));
             }
         }
-        for (index, sites, witness) in &mut self.candidates {
-            *witness = recompute_witness(verifier, property, options, sites);
+        for (index, idxs, witness) in &mut self.candidates {
+            *witness = verifier.witness_of(property, options, &run_sites, idxs);
             if witness.is_none() {
                 return Err(Error::Checkpoint(format!(
                     "candidate {index} does not violate {property}"

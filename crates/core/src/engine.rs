@@ -136,24 +136,10 @@ pub struct VerifyOptions {
     /// leaves the memo unbounded. Purely a time/memory trade: verdicts and
     /// witnesses are identical at any budget.
     pub cache_budget: usize,
-    /// Support width at or below which spectral kernels (map convolution,
-    /// sparse Walsh transforms, the ADD WHT) drop to a flat integer
-    /// butterfly instead of pointer-chasing DD recursions. The dense
-    /// kernels are exact (dyadic coefficients over a common exponent, with
-    /// overflow falling back to the recursion), so results are
-    /// byte-identical at any cut — a pure speed knob, excluded from job
-    /// identity. `0` disables them.
-    pub dense_cut: u32,
 }
 
 /// Default per-worker prefix-cache budget (64 MiB).
 pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
-
-/// Default dense-kernel support cut ([`VerifyOptions::dense_cut`]): 12
-/// variables keeps every flat table at or under 4096 entries (32 KiB of
-/// `i64`s — L1-resident) while covering the small cones that dominate
-/// low-order sweeps.
-pub const DEFAULT_DENSE_CUT: u32 = 12;
 
 impl Default for VerifyOptions {
     fn default() -> Self {
@@ -166,7 +152,6 @@ impl Default for VerifyOptions {
             time_limit: None,
             node_budget: None,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            dense_cut: DEFAULT_DENSE_CUT,
         }
     }
 }
@@ -191,7 +176,6 @@ impl VerifyOptions {
             time_limit: None,
             node_budget: None,
             cache_budget: DEFAULT_CACHE_BUDGET,
-            dense_cut: DEFAULT_DENSE_CUT,
         }
     }
 
@@ -292,12 +276,6 @@ impl VerifyOptionsBuilder {
     /// [`VerifyOptions::cache_budget`]; `0` disables prefix caching).
     pub fn cache_budget(mut self, bytes: usize) -> Self {
         self.options.cache_budget = bytes;
-        self
-    }
-
-    /// Dense spectral-kernel support cut (see [`VerifyOptions::dense_cut`]).
-    pub fn dense_cut(mut self, cut: u32) -> Self {
-        self.options.dense_cut = cut;
         self
     }
 
@@ -465,7 +443,6 @@ impl Verifier {
             self.varmap.num_vars as u32,
             options.cache_budget,
             options.node_budget,
-            options.dense_cut,
         );
         EnumState { sites, mode, ctx }
     }
@@ -628,25 +605,36 @@ impl Verifier {
         property: Property,
         options: &VerifyOptions,
     ) -> Option<Witness> {
-        // No node budget here: `check_specific` / `minimize_witness` operate
-        // on combinations that already completed (or that the caller chose
-        // explicitly), so quarantining would only lose information.
-        let mut opts = options.clone();
-        opts.node_budget = None;
-        let mut state = self.begin_enumeration(property, &opts);
+        let sites = extract_sites(&self.netlist, &self.unfolded, &options.sites)
+            .expect("netlist validated in Verifier::new");
         // Match the requested probes to sites (by observed wire).
         let idxs: Vec<usize> = combination
             .iter()
             .map(|p| {
-                state
-                    .sites
+                sites
                     .iter()
                     .position(|s| s.probe.wire() == p.wire() && s.is_internal() == p.is_internal())
                     .expect("probe refers to a known site")
             })
             .collect();
-        let mut stats = CheckStats::default();
-        match self.check_indices(&mut state, property, false, &idxs, &mut stats) {
+        self.witness_of(property, options, &sites, &idxs)
+    }
+
+    /// Checks the one combination `idxs` (indices into `sites`) with the
+    /// node budget and the prefilter off ([`Verifier::check_fresh`]), and
+    /// returns its witness; `None` if it does not violate. The combination
+    /// already completed, was rescued as a violation or was chosen by the
+    /// caller, so a capacity concession must not quarantine it again.
+    pub(crate) fn witness_of(
+        &self,
+        property: Property,
+        options: &VerifyOptions,
+        sites: &[Site],
+        idxs: &[usize],
+    ) -> Option<Witness> {
+        let mut opts = options.clone();
+        opts.node_budget = None;
+        match self.check_fresh(property, &opts, sites, idxs, &mut CheckStats::default()) {
             ComboStep::Violation(w) => Some(w),
             ComboStep::Clean | ComboStep::Pruned => None,
         }
@@ -742,10 +730,6 @@ trait Factors {
 struct Spectra<S> {
     base: FastMap<Bdd, Rc<S>>,
     walsh: SparseWalshCache,
-    /// Dense spectral-kernel cut threaded into the convolutions (see
-    /// [`VerifyOptions::dense_cut`]; the sparse transforms read the same
-    /// cut from `walsh`).
-    dense_cut: u32,
 }
 
 impl<S: Spectrum> Factors for Spectra<S> {
@@ -766,7 +750,7 @@ impl<S: Spectrum> Factors for Spectra<S> {
 
     fn mul(&mut self, a: &S, b: &S, stats: &mut CheckStats) -> S {
         let t = Instant::now();
-        let conv = a.convolve_opt(b, self.dense_cut);
+        let conv = a.convolve(b);
         stats.convolution_time += t.elapsed();
         stats.convolutions += 1;
         conv
@@ -867,13 +851,12 @@ struct Rows<F: Factors> {
 }
 
 impl<S: Spectrum> Rows<Spectra<S>> {
-    fn spectra(cache_budget: usize, dense_cut: u32) -> Self {
+    fn spectra(cache_budget: usize) -> Self {
         let factors = Spectra {
             base: FastMap::default(),
             // The memo stays on with prefix caching disabled (cache_budget
             // 0 ⇒ unbounded); a configured budget bounds it too.
-            walsh: SparseWalshCache::with_config(cache_budget, dense_cut),
-            dense_cut,
+            walsh: SparseWalshCache::with_budget(cache_budget),
         };
         Rows::new(factors, cache_budget)
     }
@@ -1216,13 +1199,12 @@ impl EngineCtx {
         num_vars: u32,
         cache_budget: usize,
         node_budget: Option<usize>,
-        dense_cut: u32,
     ) -> Self {
         let engine = match kind {
-            EngineKind::Lil => Engine::Lil(Rows::spectra(cache_budget, dense_cut)),
-            EngineKind::Map => Engine::Map(Rows::spectra(cache_budget, dense_cut)),
+            EngineKind::Lil => Engine::Lil(Rows::spectra(cache_budget)),
+            EngineKind::Map => Engine::Map(Rows::spectra(cache_budget)),
             EngineKind::Mapi => Engine::Mapi(Mapi {
-                rows: Rows::spectra(cache_budget, dense_cut),
+                rows: Rows::spectra(cache_budget),
                 t: TMatrices::new(num_vars, node_budget),
             }),
             EngineKind::Fujita => Engine::Fujita(Fujita {
@@ -1230,7 +1212,7 @@ impl EngineCtx {
                     Signs::new(num_vars, cache_budget, node_budget),
                     cache_budget,
                 ),
-                wht_memo: WhtMemo::with_config(cache_budget, dense_cut),
+                wht_memo: WhtMemo::with_budget(cache_budget),
                 t: TMatrices::new(num_vars, node_budget),
             }),
         };

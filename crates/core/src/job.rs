@@ -113,14 +113,7 @@ impl JobSpec {
             "cache".into(),
             Json::obj([("budget_bytes", Json::Int(self.options.cache_budget as i64))]),
         );
-        // The dense-kernel cut is configuration, not identity: the dense
-        // spectral kernels are exact (DESIGN.md §17), so it cannot change a
-        // result.
-        obj.insert(
-            "dense_cut".into(),
-            Json::Int(i64::from(self.options.dense_cut)),
-        );
-        // The daemon deadline is likewise a robustness knob: interrupted
+        // The daemon deadline is configuration, not identity: interrupted
         // attempts resume byte-identically, so the deadline never changes
         // what the job computes — only how patiently the daemon waits.
         obj.insert(
@@ -206,8 +199,8 @@ impl JobSpec {
     /// Reconstructs a spec from the JSON form of [`JobSpec::to_json`].
     /// `property` is required; every other field defaults like
     /// [`JobSpec::new`] when absent, so sparse submissions work. Unknown
-    /// keys are ignored, among them the retired `"backend"` and `"sift"`
-    /// keys that specs stored by earlier 0.3 daemons carry.
+    /// keys are ignored, among them the retired `"backend"`, `"sift"` and
+    /// `"dense_cut"` keys that specs stored by earlier 0.3 daemons carry.
     ///
     /// # Errors
     ///
@@ -270,12 +263,6 @@ impl JobSpec {
             if v.as_bool().ok_or_else(|| bad("presift"))? {
                 return Err(bad("presift is no longer supported"));
             }
-        }
-        if let Some(v) = doc.get("dense_cut") {
-            o.dense_cut = v
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| bad("dense_cut"))?;
         }
         match doc.get("time_limit_ms") {
             None | Some(Json::Null) => {}
@@ -580,13 +567,14 @@ mod tests {
 
     #[test]
     fn retired_keys_parse_and_keep_the_identity() {
-        // Stores written before the DD backend and sifting knobs were
-        // removed hold `spec.json` files with `"backend"`, `"sift"` and
-        // `"presift": false` keys: they must still parse, keep their job
-        // identity, and be written back without the two knob keys.
+        // Stores written before the DD backend, sifting and dense-kernel
+        // knobs were removed hold `spec.json` files with `"backend"`,
+        // `"sift"`, `"dense_cut"` and `"presift": false` keys: they must
+        // still parse, keep their job identity, and be written back
+        // without the three knob keys.
         let a = spec();
         let current = a.to_json().to_canonical();
-        for key in ["backend", "sift"] {
+        for key in ["backend", "sift", "dense_cut"] {
             assert!(a.to_json().get(key).is_none(), "to_json writes no {key}");
         }
         let retired = [
@@ -596,6 +584,8 @@ mod tests {
             ("sift", Json::str("rescue")),
             ("sift", Json::str("off")),
             ("presift", Json::Bool(false)),
+            ("dense_cut", Json::Int(12)),
+            ("dense_cut", Json::Int(0)),
         ];
         for (key, value) in retired {
             let Json::Obj(mut old) = a.to_json() else {

@@ -670,11 +670,11 @@ pub(crate) fn run(
         if let Some(ck) = ck_ref {
             ck.write_snapshot(&cand_list, raw_skipped.clone(), &rescued, obs_dyn);
         }
-        // The skipped counter mirrors the surviving quarantine list (fresh
-        // sweep quarantines were counted by workers; rescue just resolved
-        // some of them).
-        stats.skipped = raw_skipped.len() as u64;
     }
+    // The skipped counter mirrors the surviving quarantine list: workers
+    // count only the quarantines this process hit, not those a resumed run
+    // carries from its checkpoint, and rescue may have resolved some.
+    stats.skipped = raw_skipped.len() as u64;
     let recovery: Option<RecoveryReport> = if can_rescue || !records.is_empty() {
         records.sort_by_key(|r| r.index);
         let resolved = records
@@ -701,7 +701,8 @@ pub(crate) fn run(
         cand_list.sort_by_key(|&(g, _, _)| g);
         cand_list.into_iter().next().map(|(g, idxs, w)| {
             let w = w.unwrap_or_else(|| {
-                recompute_witness(verifier, property, options, &idxs)
+                verifier
+                    .witness_of(property, options, &state0.sites, &idxs)
                     .expect("a rescue-found violation violates under every engine")
             });
             (g, w)
@@ -747,29 +748,6 @@ pub(crate) fn run(
     let mut verdict = Verdict::conclude(property, winner.map(|(_, w)| w), skipped, stats);
     verdict.recovery = recovery;
     verdict
-}
-
-/// Recomputes the witness of a recorded violation. Deterministic: the site
-/// indices identify the combination, and the engine's verdict for one
-/// combination is a pure function of netlist + property. Budget and
-/// prefilter are disabled — the combination already proved it violates, so
-/// capacity concessions must not re-quarantine it. `None` if it does not
-/// violate (a checkpoint that does not fit this run).
-pub(crate) fn recompute_witness(
-    verifier: &Verifier,
-    property: Property,
-    options: &VerifyOptions,
-    idxs: &[usize],
-) -> Option<Witness> {
-    let mut opts = options.clone();
-    opts.node_budget = None;
-    opts.prefilter = false;
-    let mut state = verifier.begin_enumeration(property, &opts);
-    let mut stats = CheckStats::default();
-    match verifier.check_indices(&mut state, property, false, idxs, &mut stats) {
-        ComboStep::Violation(w) => Some(w),
-        ComboStep::Clean | ComboStep::Pruned => None,
-    }
 }
 
 /// One worker: claim batches until the queue dries up. Combination

@@ -150,18 +150,6 @@ impl Session {
         self
     }
 
-    /// Support width at or below which the spectral kernels (map
-    /// convolution, sparse Walsh transforms, the ADD WHT) drop to a flat
-    /// integer butterfly (`0` disables; default
-    /// [`crate::engine::DEFAULT_DENSE_CUT`]). The dense kernels are exact,
-    /// so verdicts, witnesses and report artifacts are byte-identical at
-    /// any cut — a pure speed knob, excluded from job identity.
-    #[must_use]
-    pub fn dense_cut(mut self, cut: u32) -> Self {
-        self.job.spec_mut().options.dense_cut = cut;
-        self
-    }
-
     /// Caps decision-diagram arena growth per checked combination, in
     /// nodes. A combination whose check (or whose deterministic size
     /// pre-charge) would grow the arenas past the cap is *quarantined*

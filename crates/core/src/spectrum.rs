@@ -31,20 +31,6 @@ pub trait Spectrum: Clone {
     /// of the underlying functions.
     fn convolve(&self, other: &Self) -> Self;
 
-    /// [`Spectrum::convolve`] with an optional dense fast path: when the
-    /// union support of both operands spans at most `dense_cut` variables,
-    /// an implementation may switch to an exact dense kernel (via the
-    /// convolution theorem `conv = 2⁻ˢ·H((Ha)∘(Hb))`). The result is
-    /// **exactly** the same spectrum either way — dyadic arithmetic is
-    /// exact, so `dense_cut` is a pure speed knob and can never affect
-    /// verdicts or witnesses. `dense_cut == 0` disables the fast path. The
-    /// default just forwards to [`Spectrum::convolve`]; `LilSpectrum`
-    /// deliberately keeps it, staying the paper's untouched baseline.
-    fn convolve_opt(&self, other: &Self, dense_cut: u32) -> Self {
-        let _ = dense_cut;
-        self.convolve(other)
-    }
-
     /// Number of non-zero entries.
     fn len(&self) -> usize;
 
@@ -112,135 +98,6 @@ impl MapSpectrum {
     pub fn entries(&self) -> &FastMap<u128, Dyadic> {
         &self.entries
     }
-
-    /// Attempts the dense convolution-theorem kernel: compress both
-    /// operands onto the union support (`s` variables), transform with
-    /// exact integer butterflies (common-exponent `i64` mantissas),
-    /// multiply pointwise in `i128`, transform back and re-expand only the
-    /// nonzero coefficients. Returns `None` — falling back to the hash
-    /// path — when the support is too wide, the integer representation
-    /// would overflow, or the O(s·2ˢ) dense work would exceed the O(la·lb)
-    /// hash work.
-    fn try_dense_convolve(&self, other: &Self, dense_cut: u32) -> Option<MapSpectrum> {
-        let (la, lb) = (self.entries.len(), other.entries.len());
-        if dense_cut == 0 || la == 0 || lb == 0 {
-            return None;
-        }
-        let mut union: u128 = 0;
-        for &k in self.entries.keys() {
-            union |= k;
-        }
-        for &k in other.entries.keys() {
-            union |= k;
-        }
-        let s = union.count_ones();
-        // Hard cap independent of the knob: the two scratch tables are
-        // 2ˢ·(8+16) bytes.
-        if s > dense_cut || s > 24 {
-            return None;
-        }
-        // Cost heuristic, calibrated by microbenchmark: the dense side
-        // costs ~1.5ns per butterfly add over ~3 passes of s·2ˢ plus table
-        // allocation, the hash side ~20-40ns per la·lb update; measured
-        // break-even sits at la·lb ≈ s·2ˢ/2 across s ∈ [6, 12]. Both paths
-        // yield the identical spectrum, so this choice is a pure time
-        // trade.
-        if (s as u128) << s > 2 * (la as u128) * (lb as u128) {
-            return None;
-        }
-        let bits: Vec<u32> = (0..128).filter(|&i| union >> i & 1 == 1).collect();
-        let compress = |k: u128| -> usize {
-            let mut idx = 0usize;
-            for (i, &b) in bits.iter().enumerate() {
-                idx |= ((k >> b & 1) as usize) << i;
-            }
-            idx
-        };
-        // Integer mantissas over a per-operand common exponent.
-        let pack = |entries: &FastMap<u128, Dyadic>| -> Option<(Vec<i64>, i32, u128)> {
-            let e0 = entries.values().map(Dyadic::exponent).min()?;
-            let mut v = vec![0i64; 1usize << s];
-            let mut sum: u128 = 0;
-            for (&k, c) in entries {
-                let shift = u32::try_from(c.exponent() - e0).ok()?;
-                let m = i64::try_from(c.mantissa()).ok()?;
-                if shift > 62 || m.unsigned_abs() > u64::MAX >> 1 >> shift {
-                    return None;
-                }
-                let m = m << shift;
-                sum += u128::from(m.unsigned_abs());
-                v[compress(k)] = m;
-            }
-            // Forward-transform intermediates are ±-subset sums, bounded
-            // by Σ|m|.
-            (sum <= i64::MAX as u128).then_some((v, e0, sum))
-        };
-        let (mut va, ea, suma) = pack(&self.entries)?;
-        let (mut vb, eb, sumb) = pack(&other.entries)?;
-        // The inverse transform peaks at 2ˢ·Σ|a|·Σ|b|; keep it inside i128.
-        if suma.checked_mul(sumb)? > (i128::MAX as u128) >> s {
-            return None;
-        }
-        dense_wht_i64(&mut va);
-        dense_wht_i64(&mut vb);
-        let mut prod: Vec<i128> = va
-            .iter()
-            .zip(&vb)
-            .map(|(&a, &b)| i128::from(a) * i128::from(b))
-            .collect();
-        dense_wht_i128(&mut prod);
-        // H·H = 2ˢ·I, so every coefficient is the exact integer convolution
-        // scaled by 2ˢ; Dyadic::new renormalizes exactly.
-        let scale = ea + eb - s as i32;
-        let mut out: FastMap<u128, Dyadic> = FastMap::default();
-        for (idx, &c) in prod.iter().enumerate() {
-            if c != 0 {
-                let mut key = 0u128;
-                for (i, &b) in bits.iter().enumerate() {
-                    key |= ((idx as u128 >> i) & 1) << b;
-                }
-                out.insert(key, Dyadic::new(c, scale));
-            }
-        }
-        Some(MapSpectrum { entries: out })
-    }
-}
-
-/// In-place unnormalized Walsh–Hadamard butterfly over `i64`, manually
-/// unrolled pairwise so the inner loop vectorizes (the "SIMD-style" dense
-/// kernel — portable, no intrinsics).
-fn dense_wht_i64(v: &mut [i64]) {
-    let mut h = 1;
-    while h < v.len() {
-        let mut base = 0;
-        while base < v.len() {
-            for i in base..base + h {
-                let (x, y) = (v[i], v[i + h]);
-                v[i] = x + y;
-                v[i + h] = x - y;
-            }
-            base += h * 2;
-        }
-        h *= 2;
-    }
-}
-
-/// In-place unnormalized Walsh–Hadamard butterfly over `i128` (the
-/// pointwise-product leg, which needs the wider accumulator).
-fn dense_wht_i128(v: &mut [i128]) {
-    let mut h = 1;
-    while h < v.len() {
-        let mut base = 0;
-        while base < v.len() {
-            for i in base..base + h {
-                let (x, y) = (v[i], v[i + h]);
-                v[i] = x + y;
-                v[i + h] = x - y;
-            }
-            base += h * 2;
-        }
-        h *= 2;
-    }
 }
 
 impl Spectrum for MapSpectrum {
@@ -275,13 +132,6 @@ impl Spectrum for MapSpectrum {
         }
         out.retain(|_, c| !c.is_zero());
         MapSpectrum { entries: out }
-    }
-
-    fn convolve_opt(&self, other: &Self, dense_cut: u32) -> Self {
-        match self.try_dense_convolve(other, dense_cut) {
-            Some(r) => r,
-            None => self.convolve(other),
-        }
     }
 
     fn len(&self) -> usize {
@@ -470,45 +320,6 @@ mod tests {
         // of the hash map's iteration order.
         let hit = ms.find(&|mask, _| mask.weight() == 1);
         assert_eq!(hit.map(|(m, _)| m), Some(Mask(0b001)));
-    }
-
-    #[test]
-    fn dense_convolution_matches_hash_convolution() {
-        // Exercise supports up to 7 vars with scattered coordinates and
-        // mixed exponents; the dense path must reproduce the hash path's
-        // map exactly (same keys, same canonical dyadics).
-        let mut m = BddManager::new(7);
-        let mut funcs = Vec::new();
-        for (i, j, k) in [(0u32, 3u32, 6u32), (1, 2, 4), (0, 5, 6), (2, 3, 5)] {
-            let a = m.var(VarId(i));
-            let b = m.var(VarId(j));
-            let c = m.var(VarId(k));
-            let ab = m.and(a, b);
-            funcs.push(m.xor(ab, c));
-        }
-        let mut dense_taken = 0;
-        for f in &funcs {
-            for g in &funcs {
-                let (mf, _) = spectra_of(*f, &m);
-                let (mg, _) = spectra_of(*g, &m);
-                let hash = mf.convolve(&mg);
-                // The cost heuristic may decline tiny pairs; when it takes
-                // the dense path the map must match exactly.
-                if let Some(dense) = mf.try_dense_convolve(&mg, 12) {
-                    dense_taken += 1;
-                    assert_eq!(dense, hash);
-                }
-                // And through the public knob, both settings agree.
-                assert_eq!(mf.convolve_opt(&mg, 12), hash);
-                assert_eq!(mf.convolve_opt(&mg, 0), hash);
-            }
-        }
-        assert!(dense_taken > 0, "dense kernel never exercised");
-        // Degenerate operands fall back gracefully.
-        let empty = MapSpectrum::default();
-        assert!(empty.try_dense_convolve(&empty, 12).is_none());
-        let (mf, _) = spectra_of(funcs[0], &m);
-        assert_eq!(empty.convolve_opt(&mf, 12).len(), 0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! * [`dyadic::Dyadic`] — exact dyadic rational arithmetic for normalized
 //!   Walsh correlation coefficients;
-//! * [`spectral`] — the Fujita Walsh–Hadamard transform on ADDs, a sparse
-//!   per-BDD-node Walsh transform, and a dense reference transform;
+//! * [`spectral`] — the Fujita Walsh–Hadamard transform on ADDs and a sparse
+//!   per-BDD-node Walsh transform (the only transforms the engines run),
+//!   plus a dense truth-table transform that the tests use as an oracle;
 //! * [`threshold`] — cardinality-threshold BDDs used to build the
 //!   non-interference relation matrix `T(α, ρ)`;
 //! * [`anf`] — sparse algebraic normal form via the Möbius transform;

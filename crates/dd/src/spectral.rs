@@ -21,14 +21,6 @@
 //! * [`dense_walsh`] — the classical in-place fast WHT on a truth table;
 //!   `O(n·2ⁿ)` and only suitable as a test oracle.
 //!
-//! Both DD-backed transforms carry a **dense fallback** (DESIGN.md §17):
-//! when a cone's support spans at most `dense_cut` variables, the recursion
-//! drops into a flat `i64` butterfly over the support (an exact integer
-//! kernel — dyadic coefficients over a common exponent), then re-imports
-//! only the nonzero coefficients. The dyadic arithmetic is exact and the
-//! re-imported structures are canonical, so the fallback returns *bit-equal*
-//! results to the recursion: `dense_cut` is a pure speed knob.
-//!
 //! All transforms agree on every function; `tests` and the crate's proptest
 //! suite pin this down.
 
@@ -68,9 +60,6 @@ pub fn wht(adds: &mut AddManager<Dyadic>, g: Add) -> Add {
 /// that persists across sweep rows.
 pub fn wht_with(adds: &mut AddManager<Dyadic>, g: Add, memo: &mut WhtMemo) -> Add {
     let n = adds.num_vars();
-    if let Some(r) = wht_dense(adds, g, true, memo.dense_cut) {
-        return r;
-    }
     wht_rec(adds, g, 0, n, true, memo)
 }
 
@@ -101,9 +90,6 @@ pub struct WhtMemo {
     memo: FastMap<(Add, u32), Add>,
     /// Byte budget for the L1 map; 0 = unbounded.
     budget_bytes: usize,
-    /// Support width at or below which transforms take the dense kernel;
-    /// 0 disables it.
-    dense_cut: u32,
     stats: WalshCacheStats,
 }
 
@@ -112,18 +98,15 @@ pub struct WhtMemo {
 const WHT_ENTRY_BYTES: usize = 32;
 
 impl WhtMemo {
-    /// An unbounded memo with the dense kernel disabled.
+    /// An unbounded memo.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A memo bounded to about `budget_bytes` (0 = unbounded) using the
-    /// dense kernel for supports of at most `dense_cut` variables (0 =
-    /// never).
-    pub fn with_config(budget_bytes: usize, dense_cut: u32) -> Self {
+    /// A memo bounded to about `budget_bytes` (0 = unbounded).
+    pub fn with_budget(budget_bytes: usize) -> Self {
         WhtMemo {
             budget_bytes,
-            dense_cut,
             ..Self::default()
         }
     }
@@ -205,92 +188,8 @@ fn wht_rec(
     r
 }
 
-/// Dense fallback for the ADD transform: when `g`'s support spans at most
-/// `dense_cut` variables, evaluate it into a flat mantissa table over the
-/// support, butterfly in `i64`, and re-intern the nonzero coefficients.
-/// Returns `None` (→ take the recursion) when the support is too wide or
-/// the common-exponent integer representation would overflow.
-///
-/// The result is the canonical handle of exactly the ADD the recursion
-/// would build: coefficients are exact dyadics either way, skipped
-/// variables contribute no net normalization (their sum-halving cancels
-/// the duplicated cofactor), and `from_sparse` + `mk` re-reduce to the
-/// canonical structure.
-fn wht_dense(
-    adds: &mut AddManager<Dyadic>,
-    g: Add,
-    normalize: bool,
-    dense_cut: u32,
-) -> Option<Add> {
-    if dense_cut == 0 {
-        return None;
-    }
-    let support = adds.support(g);
-    let s = support.len() as u32;
-    if s > dense_cut || s > 24 {
-        return None;
-    }
-    let vars: Vec<u32> = support.iter().map(|v| v.0).collect();
-    let mut table: Vec<Dyadic> = vec![Dyadic::ZERO; 1usize << s];
-    fill_add_table(adds, g, &vars, 0, 0, &mut table);
-    // Common-exponent integer mantissas; bail out on overflow.
-    let e0 = table.iter().map(Dyadic::exponent).min()?;
-    let mut ints: Vec<i64> = Vec::with_capacity(table.len());
-    let mut sum: u128 = 0;
-    for c in &table {
-        let shift = u32::try_from(c.exponent() - e0).ok()?;
-        let m = i64::try_from(c.mantissa()).ok()?;
-        if shift > 62 || m.unsigned_abs() > u64::MAX >> 1 >> shift {
-            return None;
-        }
-        let m = m << shift;
-        sum += u128::from(m.unsigned_abs());
-        ints.push(m);
-    }
-    if sum > i64::MAX as u128 {
-        return None;
-    }
-    wht_butterfly(&mut ints);
-    let scale = if normalize { e0 - s as i32 } else { e0 };
-    let mut entries: Vec<(u128, Dyadic)> = Vec::new();
-    for (idx, &c) in ints.iter().enumerate() {
-        if c != 0 {
-            let mut key = 0u128;
-            for (i, &b) in vars.iter().enumerate() {
-                key |= ((idx as u128 >> i) & 1) << b;
-            }
-            entries.push((key, Dyadic::new(i128::from(c), scale)));
-        }
-    }
-    Some(adds.from_sparse(entries, Dyadic::ZERO))
-}
-
-/// Fills `table[idx]` with `g`'s value at the support assignment encoded by
-/// `idx` (bit `i` of `idx` = variable `vars[i]`).
-fn fill_add_table(
-    adds: &AddManager<Dyadic>,
-    g: Add,
-    vars: &[u32],
-    i: usize,
-    idx: usize,
-    table: &mut [Dyadic],
-) {
-    if i == vars.len() {
-        table[idx] = *adds.terminal_value(g).expect("support exhausted");
-        return;
-    }
-    let (lo, hi) = match adds.node_parts(g) {
-        Some((v, lo, hi)) if v.0 == vars[i] => (lo, hi),
-        _ => (g, g),
-    };
-    fill_add_table(adds, lo, vars, i + 1, idx, table);
-    fill_add_table(adds, hi, vars, i + 1, idx | 1 << i, table);
-}
-
-/// In-place unnormalized Walsh–Hadamard butterfly: the shared dense kernel
-/// of [`dense_walsh`], [`walsh_sparse`]'s fallback and [`wht_with`]'s
-/// fallback. Plain pairwise adds over a flat slice — the pattern LLVM
-/// auto-vectorizes; no intrinsics, no new deps.
+/// In-place unnormalized Walsh–Hadamard butterfly over a flat slice, the
+/// kernel of [`dense_walsh`].
 fn wht_butterfly(v: &mut [i64]) {
     let mut h = 1;
     while h < v.len() {
@@ -328,7 +227,7 @@ fn sparse_entry_bytes(len: usize) -> usize {
 /// Memoization storage for [`walsh_sparse`], reusable across calls on the
 /// same [`BddManager`] so that shared subgraphs are only transformed once.
 ///
-/// The cache can be byte-bounded ([`SparseWalshCache::with_config`]): when
+/// The cache can be byte-bounded ([`SparseWalshCache::with_budget`]): when
 /// the estimated footprint exceeds the budget, least-recently-used entries
 /// are evicted down to 7/8 of the budget (the engine prefix-cache policy).
 /// Eviction only forces recomputation — every memo entry is the exact
@@ -342,25 +241,19 @@ pub struct SparseWalshCache {
     bytes: usize,
     /// Byte budget; 0 = unbounded.
     budget_bytes: usize,
-    /// Support width at or below which a cone's spectrum is produced by the
-    /// dense kernel instead of the per-node butterfly merge; 0 disables.
-    dense_cut: u32,
     stats: WalshCacheStats,
 }
 
 impl SparseWalshCache {
-    /// Creates an unbounded cache with the dense kernel disabled.
+    /// Creates an unbounded cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a cache bounded to about `budget_bytes` (0 = unbounded)
-    /// that uses the dense kernel for supports of at most `dense_cut`
-    /// variables (0 = never).
-    pub fn with_config(budget_bytes: usize, dense_cut: u32) -> Self {
+    /// Creates a cache bounded to about `budget_bytes` (0 = unbounded).
+    pub fn with_budget(budget_bytes: usize) -> Self {
         SparseWalshCache {
             budget_bytes,
-            dense_cut,
             ..Self::default()
         }
     }
@@ -458,10 +351,6 @@ pub fn walsh_sparse(
     if let Some(r) = cache.get(f) {
         return r;
     }
-    if let Some(rc) = walsh_sparse_dense(bdds, f, cache.dense_cut) {
-        cache.put(f, Rc::clone(&rc));
-        return rc;
-    }
     let (var, lo, hi) = bdds.node(f).expect("non-terminal");
     let w0 = walsh_sparse(bdds, lo, cache);
     let w1 = walsh_sparse(bdds, hi, cache);
@@ -492,67 +381,6 @@ pub fn walsh_sparse(
     let rc = Rc::new(out);
     cache.put(f, Rc::clone(&rc));
     rc
-}
-
-/// Dense fallback for the sparse transform: evaluate the sign table of `f`
-/// over its support straight off the BDD, butterfly in `i64`, and keep the
-/// nonzero lines. Signs are ±1, so the integer kernel never overflows for
-/// `s ≤ 24`. Returns `None` when the support exceeds `dense_cut` (→ take
-/// the per-node merge). The resulting map is exactly the recursion's
-/// (same keys, same canonical dyadics) — only the time to build it
-/// differs.
-fn walsh_sparse_dense(
-    bdds: &BddManager,
-    f: Bdd,
-    dense_cut: u32,
-) -> Option<Rc<FastMap<u128, Dyadic>>> {
-    if dense_cut == 0 {
-        return None;
-    }
-    let support = bdds.support(f);
-    let s = support.len() as u32;
-    if s > dense_cut || s > 24 {
-        return None;
-    }
-    let vars: Vec<u32> = support.iter().map(|v| v.0).collect();
-    let mut table: Vec<i64> = vec![0; 1usize << s];
-    fill_sign_table(bdds, f, &vars, 0, 0, &mut table);
-    wht_butterfly(&mut table);
-    let scale = -(s as i32);
-    let mut out: FastMap<u128, Dyadic> = FastMap::default();
-    for (idx, &c) in table.iter().enumerate() {
-        if c != 0 {
-            let mut key = 0u128;
-            for (i, &b) in vars.iter().enumerate() {
-                key |= ((idx as u128 >> i) & 1) << b;
-            }
-            out.insert(key, Dyadic::new(i128::from(c), scale));
-        }
-    }
-    Some(Rc::new(out))
-}
-
-/// Fills `table[idx]` with `(−1)^{f}` at the support assignment encoded by
-/// `idx` (bit `i` of `idx` = variable `vars[i]`).
-fn fill_sign_table(
-    bdds: &BddManager,
-    f: Bdd,
-    vars: &[u32],
-    i: usize,
-    idx: usize,
-    table: &mut [i64],
-) {
-    if i == vars.len() {
-        table[idx] = if f == Bdd::TRUE { -1 } else { 1 };
-        debug_assert!(f.is_const(), "support exhausted");
-        return;
-    }
-    let (lo, hi) = match bdds.node(f) {
-        Some((v, lo, hi)) if v.0 == vars[i] => (lo, hi),
-        _ => (f, f),
-    };
-    fill_sign_table(bdds, lo, vars, i + 1, idx, table);
-    fill_sign_table(bdds, hi, vars, i + 1, idx | 1 << i, table);
 }
 
 /// Reference dense WHT: normalized spectrum of a truth table.
@@ -728,37 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_fallback_matches_recursion_exactly() {
-        // Same functions transformed through a dense-enabled cache and a
-        // plain one must yield identical maps (and the ADD path identical
-        // handles within one manager).
-        let mut b = BddManager::new(6);
-        let mut funcs = Vec::new();
-        for (i, j, k) in [(0u32, 1u32, 2u32), (1, 3, 5), (0, 2, 4), (3, 4, 5)] {
-            let x = b.var(VarId(i));
-            let y = b.var(VarId(j));
-            let z = b.var(VarId(k));
-            let xy = b.and(x, y);
-            funcs.push(b.xor(xy, z));
-            funcs.push(b.or(xy, z));
-        }
-        let mut plain = SparseWalshCache::new();
-        let mut dense = SparseWalshCache::with_config(0, 12);
-        let mut adds: AddManager<Dyadic> = AddManager::new(6);
-        let mut memo_plain = WhtMemo::new();
-        let mut memo_dense = WhtMemo::with_config(0, 12);
-        for &f in &funcs {
-            let a = walsh_sparse(&b, f, &mut plain);
-            let c = walsh_sparse(&b, f, &mut dense);
-            assert_eq!(*a, *c, "sparse maps must be equal");
-            let sign = sign_add(&b, &mut adds, f);
-            let w1 = wht_with(&mut adds, sign, &mut memo_plain);
-            let w2 = wht_with(&mut adds, sign, &mut memo_dense);
-            assert_eq!(w1, w2, "ADD spectra must be the same canonical handle");
-        }
-    }
-
-    #[test]
     fn wht_memo_is_reused_across_rows_and_flushes_on_budget() {
         let mut b = BddManager::new(5);
         let mut adds: AddManager<Dyadic> = AddManager::new(5);
@@ -786,7 +583,7 @@ mod tests {
         // manager sidesteps the L2 apply-cache, which would otherwise
         // answer before the L1 ever fills.
         let mut adds2: AddManager<Dyadic> = AddManager::new(5);
-        let mut tiny = WhtMemo::with_config(WHT_ENTRY_BYTES * 2, 0);
+        let mut tiny = WhtMemo::with_budget(WHT_ENTRY_BYTES * 2);
         let sf2 = sign_add(&b, &mut adds2, f);
         let wf3 = wht_with(&mut adds2, sf2, &mut tiny);
         for alpha in 0..1u128 << 5 {
@@ -807,7 +604,7 @@ mod tests {
             funcs.push(b.xor(xy, z));
         }
         let mut unbounded = SparseWalshCache::new();
-        let mut bounded = SparseWalshCache::with_config(sparse_entry_bytes(8) * 4, 0);
+        let mut bounded = SparseWalshCache::with_budget(sparse_entry_bytes(8) * 4);
         for &f in &funcs {
             let a = walsh_sparse(&b, f, &mut unbounded);
             let c = walsh_sparse(&b, f, &mut bounded);

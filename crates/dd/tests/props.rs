@@ -320,12 +320,10 @@ proptest! {
     }
 }
 
-// ---------- dense-kernel equivalence up to 12 variables ----------
+// ---------- DD transforms against the truth-table oracle, 12 variables ----------
 
-/// Wider variable space for exercising the dense spectral fallback: the
-/// default `dense_cut` is 12, so functions drawn here cross the cut from
-/// both sides (small supports take the flat butterfly, full-support ones
-/// stay on the node-wise recursion).
+/// A wider variable space than [`NVARS`], so the DD transforms run over
+/// supports the exhaustive-table tests above never reach.
 const NVARS_WIDE: u32 = 12;
 
 fn wide_expr_strategy() -> impl Strategy<Value = Expr> {
@@ -351,10 +349,10 @@ fn wide_expr_strategy() -> impl Strategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `wht` (dense kernel on and off), `walsh_sparse` (dense kernel on
-    /// and off) and the literal `dense_walsh` truth-table transform agree
-    /// on random functions of up to 12 variables — and on their
-    /// complements, so the top-level complement edge crosses every kernel.
+    /// `wht_with` and `walsh_sparse` agree with the literal `dense_walsh`
+    /// truth-table transform on random functions of up to 12 variables,
+    /// and on their complements, so the top-level complement edge
+    /// crosses both DD transforms.
     #[test]
     fn spectral_kernels_agree_up_to_12_vars(e in wide_expr_strategy()) {
         let mut m = BddManager::new(NVARS_WIDE);
@@ -366,30 +364,16 @@ proptest! {
                 .collect();
             let dense = dense_walsh(&table);
 
-            // walsh_sparse, dense kernel off (new()) and on (cut 12).
-            let mut off = SparseWalshCache::new();
-            let mut on = SparseWalshCache::with_config(0, NVARS_WIDE);
-            let s_off = walsh_sparse(&m, g, &mut off);
-            let s_on = walsh_sparse(&m, g, &mut on);
-            for (alpha, want) in dense.iter().enumerate() {
-                let a = alpha as u128;
-                let got_off = s_off.get(&a).copied().unwrap_or(Dyadic::ZERO);
-                let got_on = s_on.get(&a).copied().unwrap_or(Dyadic::ZERO);
-                prop_assert_eq!(got_off, *want, "sparse/off α={}", alpha);
-                prop_assert_eq!(got_on, *want, "sparse/on α={}", alpha);
-            }
-
-            // ADD-side WHT, dense kernel off and on: canonical hash
-            // consing means both paths must return the same handle.
+            let mut cache = SparseWalshCache::new();
+            let sparse = walsh_sparse(&m, g, &mut cache);
             let mut adds = AddManager::new(NVARS_WIDE);
             let sign = sign_add(&m, &mut adds, g);
-            let mut memo_off = WhtMemo::new();
-            let mut memo_on = WhtMemo::with_config(0, NVARS_WIDE);
-            let w_off = wht_with(&mut adds, sign, &mut memo_off);
-            let w_on = wht_with(&mut adds, sign, &mut memo_on);
-            prop_assert_eq!(w_off, w_on);
+            let w = wht_with(&mut adds, sign, &mut WhtMemo::new());
             for (alpha, want) in dense.iter().enumerate() {
-                prop_assert_eq!(*adds.eval(w_off, alpha as u128), *want, "wht α={}", alpha);
+                let a = alpha as u128;
+                let got = sparse.get(&a).copied().unwrap_or(Dyadic::ZERO);
+                prop_assert_eq!(got, *want, "sparse α={}", alpha);
+                prop_assert_eq!(*adds.eval(w, a), *want, "wht α={}", alpha);
             }
         }
     }

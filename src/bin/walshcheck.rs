@@ -32,12 +32,6 @@
 //!                                    bounds the engine's spectral memo
 //!   --node-budget NODES              per-combination decision-diagram cap;
 //!                                    over-budget combinations are quarantined
-//!   --dense-cut N                    spectral functions with support ≤ N take
-//!                                    a flat array-butterfly WHT instead of
-//!                                    the node-wise recursion (default 12; 0
-//!                                    disables the dense fallback). A pure
-//!                                    speed knob: reports are byte-identical
-//!                                    at any cut
 //!   --rescue                         re-verify quarantined combinations after
 //!                                    the sweep through an escalation ladder
 //!                                    (doubled budgets up to the cap, engine
@@ -171,7 +165,6 @@ struct Cli {
     prefilter: bool,
     cache_budget: Option<usize>,
     node_budget: Option<usize>,
-    dense_cut: Option<u32>,
     rescue: bool,
     rescue_attempts: Option<u32>,
     rescue_budget: Option<usize>,
@@ -195,7 +188,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
         prefilter: true,
         cache_budget: None,
         node_budget: None,
-        dense_cut: None,
         rescue: false,
         rescue_attempts: None,
         rescue_budget: None,
@@ -256,13 +248,6 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
                     value("--node-budget")?
                         .parse()
                         .map_err(|_| bad("--node-budget"))?,
-                )
-            }
-            "--dense-cut" => {
-                cli.dense_cut = Some(
-                    value("--dense-cut")?
-                        .parse()
-                        .map_err(|_| bad("--dense-cut"))?,
                 )
             }
             "--rescue" => cli.rescue = true,
@@ -442,9 +427,6 @@ fn spec_from_cli(netlist: &Netlist, cli: &Cli) -> Result<JobSpec, Error> {
     }
     if let Some(nodes) = cli.node_budget {
         builder = builder.node_budget(nodes);
-    }
-    if let Some(cut) = cli.dense_cut {
-        builder = builder.dense_cut(cut);
     }
     let mut spec = JobSpec::new(property);
     spec.options = builder.build();
@@ -1089,7 +1071,7 @@ fn main() -> ExitCode {
                  \x20        --cache-budget BYTES (0 disables)  --node-budget NODES\n\
                  \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
                  \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
-                 \x20        --dense-cut N  --minimize  --progress  --json\n\n\
+                 \x20        --minimize  --progress  --json\n\n\
                  exit codes: 0 secure, 1 violated, 2 inconclusive, 3 usage/io error,\n\
                  \x20           4 interrupted by signal (resume with --resume)"
             );

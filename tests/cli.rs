@@ -99,12 +99,14 @@ fn errors_are_reported_cleanly() {
     assert!(stderr.contains("unknown engine"), "{stderr}");
     let (_, _, code) = walshcheck(&["frobnicate"]);
     assert_eq!(code, Some(3));
-    // walshcheck never reorders variables, and `--cache-budget 0`
-    // replaces `--no-cache`; the old flags are gone.
+    // walshcheck never reorders variables, `--cache-budget 0` replaces
+    // `--no-cache`, and no option selects a spectral kernel; the old flags
+    // are gone.
     for line in [
         "check bench:dom-1 --presift",
         "check bench:dom-1 --sift auto",
         "check bench:dom-1 --no-cache",
+        "check bench:dom-1 --dense-cut 12",
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         let (_, stderr, code) = walshcheck(&args);

@@ -341,8 +341,8 @@ fn starved_violation_keeps_the_identical_witness() {
 
 /// The first rung's final attempt at the cap resolves what the doubling
 /// cannot. Under FUJITA with a 1-node budget, one doubling attempt and a
-/// 32-node rescue cap (1,024 bytes), every quarantine fails at budget 2 and
-/// is settled at the cap: clean on dom-1, a violation on ti-1. The outcome
+/// 128-node rescue cap (4,096 bytes), every quarantine fails at budget 2
+/// and is settled at the cap: clean on dom-1, a violation on ti-1. The outcome
 /// and witness equal the unconstrained run's, and the recovery block is the
 /// same at 1 and 4 threads.
 #[test]
@@ -367,7 +367,7 @@ fn the_cap_attempt_resolves_what_the_doubling_cannot() {
             RescueAttempt {
                 rung: RescueRung::Budget,
                 engine: EngineKind::Fujita,
-                node_budget: Some(32),
+                node_budget: Some(128),
                 outcome: resolved,
             },
         ];
@@ -375,7 +375,7 @@ fn the_cap_attempt_resolves_what_the_doubling_cannot() {
         for threads in [1usize, 4] {
             let verdict = starved(&netlist, Property::Sni(1), EngineKind::Fujita)
                 .rescue_attempts(1)
-                .rescue_budget(1024)
+                .rescue_budget(4096)
                 .threads(threads)
                 .run();
             assert_eq!(verdict.outcome, baseline.outcome, "{name}/{threads}t");
@@ -416,7 +416,9 @@ fn no_rescue_preserves_the_inconclusive_verdict() {
 
 /// Quarantines carried in a checkpoint are rescued on resume: a budgeted
 /// no-rescue run leaves its quarantines in the file, and resuming that file
-/// with rescue enabled heals all of them and upgrades the verdict.
+/// with rescue enabled heals all of them and upgrades the verdict. Resumed
+/// without rescue, the file reports the first run's quarantines, in its
+/// skip list and in `stats.skipped` alike.
 #[test]
 fn resume_rescues_carried_quarantines() {
     let netlist = bench("dom-2");
@@ -432,6 +434,18 @@ fn resume_rescues_carried_quarantines() {
         Outcome::Inconclusive(IncompleteReason::NodeBudget)
     );
     let quarantined = first.skipped.len();
+    assert_eq!(first.stats.skipped, quarantined as u64);
+
+    let carried = Session::new(&netlist)
+        .expect("valid netlist")
+        .property(Property::Sni(2))
+        .node_budget(1)
+        .resume_from(&path)
+        .expect("fingerprint matches")
+        .run();
+    assert_eq!(carried.outcome, first.outcome);
+    assert_eq!(carried.skipped.len(), quarantined);
+    assert_eq!(carried.stats.skipped, first.stats.skipped);
 
     let resumed = Session::new(&netlist)
         .expect("valid netlist")
@@ -456,8 +470,9 @@ fn resume_rescues_carried_quarantines() {
 /// which kept no attempt log — a resolved quarantine was stored without its
 /// resolution, a rescue-found violation only as a candidate. Entries
 /// without a log go back through the ladder, which writes the same records
-/// again. ti-1's violation is found by the rescue pass: at the cap under
-/// FUJITA, and by engine fallback for SNI(2) under LIL. Its files are
+/// again. ti-1's violation is found by the rescue pass, by engine fallback
+/// both times: to MAPI under FUJITA at a 1,024-byte cap, and for SNI(2)
+/// under LIL. Its files are
 /// refused in three shapes: in the 0.3.0 format (which cannot say whether
 /// the rescue pass found the candidate), with the candidate dropped (a
 /// violated record without it), and with every record flipped to clean (a

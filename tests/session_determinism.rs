@@ -258,6 +258,30 @@ fn prefix_cache_fires_on_deep_tuples() {
     );
     assert!(v.stats.cache_misses > 0, "no misses recorded");
     assert!(v.stats.cache_peak_bytes > 0, "no footprint recorded");
+
+    // The convolution-dominated shape: MAP, row-wise, no prefilter, four
+    // workers. Every surviving tuple re-derives its proper prefix when the
+    // cache is off, so the cache must save convolutions outright.
+    let run = |cache_budget: usize| {
+        Session::new(&n)
+            .expect("valid")
+            .property(Property::Ni(4))
+            .engine(EngineKind::Map)
+            .mode(CheckMode::RowWise)
+            .prefilter(false)
+            .cache_budget(cache_budget)
+            .threads(4)
+            .run()
+    };
+    let cached = run(DEFAULT_CACHE_BUDGET);
+    let uncached = run(0);
+    assert!(cached.stats.cache_hits > 0, "no hits: {:?}", cached.stats);
+    assert!(
+        cached.stats.convolutions < uncached.stats.convolutions,
+        "the cache saved no convolutions: {} cached vs {} uncached",
+        cached.stats.convolutions,
+        uncached.stats.convolutions
+    );
 }
 
 #[test]
@@ -301,21 +325,21 @@ fn report_artifacts_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn report_artifacts_are_byte_identical_across_speed_knobs() {
-    // The speed knobs — the dense spectral kernel (`dense_cut`) and the
-    // bounded spectral memos — are pure time/memory trades like the prefix
-    // cache before them. The full matrix (every engine × dense kernel
-    // on/off × 1/8 workers) must produce byte-identical report/5
-    // artifacts, which is why `JobSpec::identity_json` excludes the cut.
+    // The one surviving time/memory knob, the cache budget behind the
+    // prefix cache and the spectral memos, is a pure time/memory trade
+    // like the thread count. The full matrix (every engine × default and
+    // zero budget × 1/8 workers) must produce byte-identical report/5
+    // artifacts, which is why `JobSpec::identity_json` excludes both.
     for (label, n, prop) in [
         ("dom-1", Benchmark::Dom(1).netlist(), Property::Sni(1)),
         ("ti-1", Benchmark::Ti1.netlist(), Property::Sni(1)),
         ("isw-2-broken", isw_and_broken(2), Property::Sni(2)),
     ] {
         for engine in engines() {
-            let artifact = |dense_cut: u32, threads: usize| {
+            let artifact = |cache_budget: usize, threads: usize| {
                 let mut spec = JobSpec::new(prop);
                 spec.options.engine = engine;
-                spec.options.dense_cut = dense_cut;
+                spec.options.cache_budget = cache_budget;
                 spec.threads = threads;
                 let mut job = Job::new(&n, spec).expect("valid");
                 let verdict = job.run();
@@ -325,19 +349,19 @@ fn report_artifacts_are_byte_identical_across_speed_knobs() {
                     report.hash().to_string(),
                 )
             };
-            let (base_bytes, base_hash) = artifact(VerifyOptions::default().dense_cut, 1);
-            for dense_cut in [12u32, 0] {
+            let (base_bytes, base_hash) = artifact(DEFAULT_CACHE_BUDGET, 1);
+            for cache_budget in [DEFAULT_CACHE_BUDGET, 0] {
                 for threads in [1usize, 8] {
-                    let (bytes, hash) = artifact(dense_cut, threads);
+                    let (bytes, hash) = artifact(cache_budget, threads);
                     assert_eq!(
                         base_bytes, bytes,
-                        "{label} {engine}: artifact bytes differ at dense_cut={dense_cut} \
-                         t{threads}"
+                        "{label} {engine}: artifact bytes differ at \
+                         cache_budget={cache_budget} t{threads}"
                     );
                     assert_eq!(
                         base_hash, hash,
-                        "{label} {engine}: artifact hash differs at dense_cut={dense_cut} \
-                         t{threads}"
+                        "{label} {engine}: artifact hash differs at \
+                         cache_budget={cache_budget} t{threads}"
                     );
                 }
             }
