@@ -17,7 +17,7 @@
 //! the rescue pass resolved are stored with their resolution and attempt
 //! log, so a resumed run carries them instead of replaying their ladders
 //! (layout revision 2). A file is admitted only if its evidence fits the
-//! run ([`Checkpoint::admit`]).
+//! run (`Checkpoint::admit`).
 //!
 //! Writes are atomic *and durable* (temp file + fsync + rename + parent
 //! directory fsync, via [`crate::iofs::atomic_replace`]), so a kill or

@@ -36,7 +36,8 @@
 //!
 //! Multiple directives are comma-separated. Without the feature every hook
 //! compiles to nothing; the daemon directives are consumed by
-//! `walshcheck-daemon` through [`string_directive`]/[`u64_directive`].
+//! `walshcheck-daemon` through `string_directive`/`u64_directive`, which
+//! exist only with the feature.
 
 /// Panic payload used by injected worker faults; classified as
 /// [`crate::IncompleteReason::WorkerFailure`] by the isolation boundary.

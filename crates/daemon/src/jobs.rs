@@ -33,8 +33,8 @@
 //!
 //! Each job's sweep runs under `catch_unwind`: a panic on the runner
 //! thread marks *that job* `failed` with a `runner panic: …` reason and
-//! retires the (possibly tainted) runner thread — the supervisor in the
-//! accept loop respawns a fresh one, and the daemon never stops serving.
+//! retires the (possibly tainted) runner thread — the supervisor thread
+//! respawns a fresh one, and the daemon never stops serving.
 //! Kills and deadlines interrupt one job through its own interrupt token
 //! ([`walshcheck_core::Job::set_interrupt`]); only daemon shutdown raises
 //! the process-global flag that drains every runner at once.
@@ -54,6 +54,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use walshcheck_circuit::ilang::parse_ilang;
@@ -316,6 +317,9 @@ struct Inner {
     running: BTreeMap<String, RunningJob>,
     /// Jobs awaiting a backoff expiry before re-entering the queue.
     retry_at: BTreeMap<String, Instant>,
+    /// Runner threads that retired after a caught panic and wait for the
+    /// supervisor to join and replace them.
+    retired: Vec<ThreadId>,
     stopping: bool,
 }
 
@@ -354,7 +358,11 @@ pub struct JobManager {
     checkpoint_every: Duration,
     pool: PoolConfig,
     inner: Mutex<Inner>,
+    /// Wakes the runners: a job was queued, or the pool is stopping.
     wake: Condvar,
+    /// Wakes the supervisor: its timers changed, a runner retired, or the
+    /// pool is stopping.
+    beat: Condvar,
     signal: Arc<EventSignal>,
 }
 
@@ -427,9 +435,11 @@ impl JobManager {
                 kill_pending: BTreeSet::new(),
                 running: BTreeMap::new(),
                 retry_at: BTreeMap::new(),
+                retired: Vec::new(),
                 stopping: false,
             }),
             wake: Condvar::new(),
+            beat: Condvar::new(),
             signal: Arc::new(EventSignal {
                 gen: Mutex::new(0),
                 cv: Condvar::new(),
@@ -661,10 +671,12 @@ impl JobManager {
 
     /// Asks the runners to exit after their current jobs (whose sweeps
     /// the caller interrupts separately via the process-global
-    /// [`walshcheck_core::shutdown`] flag) and releases long-pollers.
+    /// [`walshcheck_core::shutdown`] flag), wakes the supervisor so it
+    /// exits too, and releases long-pollers.
     pub fn stop(&self) {
         self.lock().stopping = true;
         self.wake.notify_all();
+        self.beat.notify_all();
         self.signal.bump();
     }
 
@@ -673,10 +685,10 @@ impl JobManager {
         self.lock().stopping
     }
 
-    /// One supervisor beat, called from the accept loop: fires expired
-    /// job deadlines (raising the job's interrupt token and marking it
-    /// for the `timed-out` transition) and re-queues `failed`/`timed-out`
-    /// jobs whose retry backoff has elapsed.
+    /// One supervisor beat, called from the daemon's supervisor thread:
+    /// fires expired job deadlines (raising the job's interrupt token and
+    /// marking it for the `timed-out` transition) and re-queues
+    /// `failed`/`timed-out` jobs whose retry backoff has elapsed.
     pub fn tick(&self) {
         let now = Instant::now();
         let mut woke = false;
@@ -714,6 +726,35 @@ impl JobManager {
             self.wake.notify_all();
             self.signal.bump();
         }
+    }
+
+    /// Blocks the supervisor until its next timer comes due — the earliest
+    /// deadline of a running job or retry backoff — or until it is
+    /// notified: a runner retired, a job with a deadline started, a retry
+    /// was booked, or [`JobManager::stop`] was called. Never waits longer
+    /// than `cap`, and returns at once when a retired runner or a stop is
+    /// already pending.
+    pub(crate) fn wait_for_beat(&self, cap: Duration) {
+        let inner = self.lock();
+        if inner.stopping || !inner.retired.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let timeout = inner
+            .running
+            .values()
+            .filter(|rj| !rj.timed_out)
+            .filter_map(|rj| rj.deadline)
+            .chain(inner.retry_at.values().copied())
+            .min()
+            .map_or(cap, |due| due.saturating_duration_since(now).min(cap));
+        let _ = self.beat.wait_timeout(inner, timeout);
+    }
+
+    /// Takes the ids of the runner threads that retired since the last
+    /// call; the supervisor joins and replaces them.
+    pub(crate) fn take_retired(&self) -> Vec<ThreadId> {
+        std::mem::take(&mut self.lock().retired)
     }
 
     /// The runner loop: pops jobs until [`JobManager::stop`]. Call from a
@@ -755,6 +796,9 @@ impl JobManager {
                     r.state = JobState::Running;
                 }
                 self.persist(&inner, &id);
+            }
+            if timeout_secs.is_some() {
+                self.beat.notify_all();
             }
             self.signal.bump();
             let result = catch_unwind(AssertUnwindSafe(|| self.execute(&id, &token)));
@@ -809,6 +853,10 @@ impl JobManager {
                 self.schedule_retry(&mut inner, &id);
             }
             self.persist(&inner, &id);
+            if panicked {
+                inner.retired.push(std::thread::current().id());
+                self.beat.notify_all();
+            }
             drop(inner);
             self.signal.bump();
             if panicked {
@@ -838,6 +886,7 @@ impl JobManager {
         inner
             .retry_at
             .insert(id.to_string(), Instant::now() + delay);
+        self.beat.notify_all();
     }
 
     /// The spec's `timeout_secs` of job `id`, read back from the store.

@@ -9,12 +9,21 @@
 //! returns (its job is marked `interrupted` and auto-resumes on the next
 //! start), and `run` returns.
 //!
-//! The accept loop doubles as the supervisor: between accepts it beats
-//! [`JobManager::tick`] (job deadlines, retry backoff) and respawns any
-//! runner thread that retired after a caught panic, so a poisoned sweep
-//! costs one job, never the service. Connections are capped
-//! ([`DaemonConfig::max_connections`]); past the cap the daemon answers
-//! `503` with `Retry-After` instead of spawning threads without bound.
+//! The accept thread blocks in `accept` and does nothing else: it applies
+//! the connection cap ([`DaemonConfig::max_connections`]; past the cap it
+//! answers `503` with `Retry-After` instead of spawning threads without
+//! bound) and hands each connection to a thread of its own.
+//!
+//! Supervision runs on a `walshcheckd-supervisor` thread. It owns the
+//! runner threads: it spawns them, beats [`JobManager::tick`] (job
+//! deadlines, retry backoff) and respawns any runner that retired after a
+//! caught panic, so a poisoned sweep costs one job, never the service.
+//! Between beats it sleeps until the next deadline or backoff comes due,
+//! or until a runner retires, a deadline starts or `stop` is called, and
+//! never longer than 100 ms: the shutdown flag is raised by a signal
+//! handler that can only store it, so nothing notifies the supervisor of
+//! it. Once the supervisor sees the flag, it wakes the blocked `accept`
+//! with a connection to the daemon's own address.
 //!
 //! ## Routes
 //!
@@ -30,7 +39,7 @@
 //! | `DELETE /v1/jobs/{id}`        | kill a queued/running job                 |
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -43,6 +52,11 @@ use crate::http::{self, read_request, Request, Response};
 use crate::jobs::{ApiError, JobManager, JobRecord, PoolConfig};
 use crate::store::{FsyncEvents, Store};
 use walshcheck_core::iofs::RealFs;
+
+/// The longest the supervisor sleeps without looking at the shutdown
+/// flag, and so the most a signal-raised stop waits before `accept` is
+/// woken. Every other supervisor wake comes from a timer or a notify.
+const FLAG_RECHECK: Duration = Duration::from_millis(100);
 
 /// How the daemon is configured.
 #[derive(Debug, Clone)]
@@ -126,7 +140,6 @@ impl Daemon {
             .map_err(|e| io::Error::other(e.message))?;
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         std::fs::write(store.root().join("daemon.addr"), format!("{addr}\n"))?;
         Ok(Daemon {
             listener,
@@ -151,23 +164,45 @@ impl Daemon {
     /// Serves until the shutdown flag is raised, then drains gracefully.
     /// Consumes the daemon; the listener closes on return.
     ///
+    /// The calling thread becomes the accept thread; the runners run
+    /// under a `walshcheckd-supervisor` thread (see the module docs). On
+    /// the way out — the flag, or a fatal accept error — `run` stops the
+    /// manager and joins the supervisor, which joins the runners.
+    ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures (transient accept errors are
-    /// retried, not propagated).
+    /// Propagates a failure to spawn the supervisor, fatal accept errors
+    /// (an interrupted accept is retried, not propagated) and a panic of
+    /// the supervisor.
     pub fn run(self) -> io::Result<()> {
-        let mut runners: Vec<JoinHandle<()>> = (0..self.runners)
-            .map(|i| self.spawn_runner(i))
-            .collect::<io::Result<_>>()?;
+        let supervisor = {
+            let manager = Arc::clone(&self.manager);
+            let runners = self.runners;
+            let wake = wake_addr(self.addr);
+            std::thread::Builder::new()
+                .name("walshcheckd-supervisor".into())
+                .spawn(move || supervise(&manager, runners, wake))?
+        };
+        let served = self.accept_loop();
+        // The flag also interrupts the in-flight sweeps; the runners mark
+        // their jobs interrupted and exit once told to stop.
+        self.manager.stop();
+        let supervised = supervisor.join();
+        served?;
+        supervised.map_err(|_| io::Error::other("walshcheckd supervisor panicked"))
+    }
+
+    /// Accepts until the shutdown flag is raised. Daemon stop is the
+    /// *only* raiser of the global flag — kills and deadlines go through
+    /// per-job interrupt tokens — so a raised flag always means "stop
+    /// serving"; the connection that woke `accept` is dropped unanswered.
+    fn accept_loop(&self) -> io::Result<()> {
         loop {
-            // Daemon stop is the *only* raiser of the global flag now —
-            // kills and deadlines go through per-job interrupt tokens —
-            // so a raised flag always means "stop serving".
+            let accepted = self.listener.accept();
             if shutdown::requested() {
-                break;
+                return Ok(());
             }
-            self.supervise(&mut runners)?;
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => match self.gate.acquire() {
                     Some(permit) => {
                         let manager = Arc::clone(&self.manager);
@@ -186,50 +221,70 @@ impl Daemon {
                         // Saturated: answer on the accept thread — tiny
                         // write, no request read — and move on.
                         let mut stream = stream;
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
                         let _ = Response::error(503, "connection limit reached")
                             .with_header("Retry-After", "1")
                             .write_to(&mut stream);
                     }
                 },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        // Shutdown: the flag also interrupts the in-flight sweeps; the
-        // runners mark their jobs interrupted and exit once told to stop.
-        self.manager.stop();
-        for handle in runners {
-            let _ = handle.join();
-        }
-        Ok(())
     }
+}
 
-    /// One supervisor beat: job deadlines + retry backoff, and respawning
-    /// any runner that retired after a caught panic.
-    fn supervise(&self, runners: &mut [JoinHandle<()>]) -> io::Result<()> {
-        self.manager.tick();
-        if self.manager.stopping() {
-            return Ok(());
+/// The supervisor thread: spawns `runners` runner threads and, until the
+/// manager stops, beats [`JobManager::tick`], respawns retired runners
+/// and wakes the accept thread at `wake` once the shutdown flag is up.
+/// A runner that fails to spawn is retried on the next wake. Joins every
+/// runner before it returns.
+fn supervise(manager: &Arc<JobManager>, runners: usize, wake: SocketAddr) {
+    let mut slots: Vec<Option<JoinHandle<()>>> = (0..runners).map(|_| None).collect();
+    while !manager.stopping() {
+        if shutdown::requested() {
+            // Repeated on every wake until `run` stops the manager, so a
+            // connect that fails or races the accept thread costs one
+            // re-check, never a hang.
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         }
-        for (i, slot) in runners.iter_mut().enumerate() {
-            if slot.is_finished() {
-                let _ = std::mem::replace(slot, self.spawn_runner(i)?).join();
+        manager.tick();
+        let retired = manager.take_retired();
+        for (index, slot) in slots.iter_mut().enumerate() {
+            let live = slot
+                .as_ref()
+                .is_some_and(|h| !h.is_finished() && !retired.contains(&h.thread().id()));
+            if !live {
+                if let Some(handle) = slot.take() {
+                    let _ = handle.join();
+                }
+                *slot = spawn_runner(manager, index).ok();
             }
         }
-        Ok(())
+        manager.wait_for_beat(FLAG_RECHECK);
     }
+    for handle in slots.into_iter().flatten() {
+        let _ = handle.join();
+    }
+}
 
-    fn spawn_runner(&self, index: usize) -> io::Result<JoinHandle<()>> {
-        let manager = Arc::clone(&self.manager);
-        std::thread::Builder::new()
-            .name(format!("walshcheckd-runner-{index}"))
-            .spawn(move || manager.run_loop())
-    }
+fn spawn_runner(manager: &Arc<JobManager>, index: usize) -> io::Result<JoinHandle<()>> {
+    let manager = Arc::clone(manager);
+    std::thread::Builder::new()
+        .name(format!("walshcheckd-runner-{index}"))
+        .spawn(move || manager.run_loop())
+}
+
+/// Where the supervisor connects to wake the accept thread: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `[::]`) mapped to the
+/// loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A counting semaphore over the connection threads. `std` has no
@@ -282,8 +337,6 @@ impl Drop for ConnPermit {
 }
 
 fn handle_connection(mut stream: TcpStream, manager: &Arc<JobManager>, max_body: usize) {
-    // Accepted sockets should block; inherit-nonblocking behavior varies.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let (response, drain) = match read_request(&mut stream, max_body) {
         Ok(request) => (route(&request, manager), false),

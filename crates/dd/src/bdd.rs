@@ -3,7 +3,7 @@
 //! [`BddManager`] is an arena-based, hash-consed ROBDD package in the style of
 //! CUDD: nodes are interned in open-addressed unique tables so that structural
 //! equality is pointer (index) equality, and all operations are memoized in
-//! fixed-size direct-mapped apply caches ([`crate::table`], DESIGN.md §12),
+//! fixed-size direct-mapped apply caches (the `table` module, DESIGN.md §12),
 //! giving the classical `O(|f|·|g|)` bound for binary Boolean operations.
 //! Each manager owns its arena, unique tables and caches outright.
 //!

@@ -13,7 +13,6 @@
 //! * [`threshold`] — cardinality-threshold BDDs used to build the
 //!   non-interference relation matrix `T(α, ρ)`;
 //! * [`anf`] — sparse algebraic normal form via the Möbius transform;
-//! * [`dot`] — Graphviz export for debugging;
 //! * [`fasthash`] — the fast multiplicative hasher behind the managers' hot
 //!   tables, exported as [`FastMap`]/[`FastSet`] for other crates' hot paths.
 //!
@@ -55,7 +54,6 @@ pub mod add;
 pub mod anf;
 pub mod bdd;
 pub mod budget;
-pub mod dot;
 pub mod dyadic;
 pub mod fasthash;
 pub mod spectral;

@@ -81,6 +81,24 @@ const EXIT_ERROR: u8 = 3;
 /// `--resume` continues exactly where the signal landed.
 const EXIT_INTERRUPTED: u8 = 4;
 
+/// `println!` for command output. A closed stdout (`BrokenPipe`, as in
+/// `walshcheck list | head -1`) ends the output quietly instead of
+/// panicking, so the command still exits with its own code; any other
+/// write error is returned.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), Error> {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(Error::Io(e)),
+        _ => Ok(()),
+    }
+}
+
 /// Hand-rolled signal handling (no new dependencies): a `sigaction` FFI
 /// binding installs a handler for SIGINT and SIGTERM that only flips the
 /// async-signal-safe shutdown flag in `walshcheck::core::shutdown`. The
@@ -493,25 +511,25 @@ fn run_check(target: &str, args: &[String]) -> Result<ExitCode, Error> {
     };
 
     if cli.json {
-        println!(
+        outln!(
             "{}",
             run_report_json(&netlist, &verdict, &spec, &phases, resumed)
-        );
+        )?;
     } else {
-        println!("{}: {verdict}", netlist.name);
+        outln!("{}: {verdict}", netlist.name)?;
         if let Some(w) = &verdict.witness {
             let probes: Vec<&str> = w
                 .combination
                 .iter()
                 .map(|p| netlist.wire_name(p.wire()))
                 .collect();
-            println!("  witness probes: {probes:?}");
-            println!("  {}", w.reason);
+            outln!("  witness probes: {probes:?}")?;
+            outln!("  {}", w.reason)?;
             if let Some(c) = w.coefficient {
-                println!("  leaking correlation coefficient: {c}");
+                outln!("  leaking correlation coefficient: {c}")?;
             }
         }
-        println!(
+        outln!(
             "  {} combinations ({} pruned), {} rows, {:.3?} total \
              ({:.3?} convolution, {:.3?} verification){}",
             verdict.stats.combinations,
@@ -527,56 +545,58 @@ fn run_check(target: &str, args: &[String]) -> Result<ExitCode, Error> {
             } else {
                 ""
             }
-        );
+        )?;
         if let Some(r) = &verdict.recovery {
-            println!(
+            outln!(
                 "  rescue pass: {} attempted, {} resolved, {} unresolved",
-                r.attempted, r.resolved, r.unresolved
-            );
+                r.attempted,
+                r.resolved,
+                r.unresolved
+            )?;
             for c in r.combinations.iter().take(8) {
-                println!(
+                outln!(
                     "    #{} ({}) → {} after {} attempt(s)",
                     c.index,
                     c.reason,
                     c.resolution,
                     c.attempts.len()
-                );
+                )?;
             }
             if r.combinations.len() > 8 {
-                println!("    … and {} more", r.combinations.len() - 8);
+                outln!("    … and {} more", r.combinations.len() - 8)?;
             }
         }
         if !verdict.skipped.is_empty() {
-            println!(
+            outln!(
                 "  {} combination(s) quarantined (not checked):",
                 verdict.skipped.len()
-            );
+            )?;
             for s in verdict.skipped.iter().take(8) {
                 let probes: Vec<&str> = s
                     .combination
                     .iter()
                     .map(|p| netlist.wire_name(p.wire()))
                     .collect();
-                println!("    #{} {probes:?} — {}", s.index, s.reason);
+                outln!("    #{} {probes:?} — {}", s.index, s.reason)?;
             }
             if verdict.skipped.len() > 8 {
-                println!("    … and {} more", verdict.skipped.len() - 8);
+                outln!("    … and {} more", verdict.skipped.len() - 8)?;
             }
         }
         if verdict.stats.worker_failures > 0 {
-            println!(
+            outln!(
                 "  {} worker(s) lost mid-run; their claimed work was not rechecked",
                 verdict.stats.worker_failures
-            );
+            )?;
         }
         if verdict.stats.cache_hits + verdict.stats.cache_misses > 0 {
-            println!(
+            outln!(
                 "  prefix cache: {} hits, {} misses, {} evictions, {} peak bytes",
                 verdict.stats.cache_hits,
                 verdict.stats.cache_misses,
                 verdict.stats.cache_evictions,
                 verdict.stats.cache_peak_bytes
-            );
+            )?;
         }
     }
     // The exit code mirrors the three-valued outcome: an inconclusive run
@@ -619,15 +639,19 @@ fn run_profile(target: &str, args: &[String]) -> Result<ExitCode, Error> {
     // One session across the whole sweep: the unfolding is reused by every
     // (order, property) cell.
     let mut session = Session::new(&netlist)?.options(options);
-    println!(
+    outln!(
         "security profile of {}{}:",
         netlist.name,
         if glitch { " (glitch-extended)" } else { "" }
-    );
-    println!(
+    )?;
+    outln!(
         "{:>6} {:>9} {:>7} {:>7} {:>7}",
-        "order", "probing", "NI", "SNI", "PINI"
-    );
+        "order",
+        "probing",
+        "NI",
+        "SNI",
+        "PINI"
+    )?;
     for d in 1..=max_order {
         let mut row = Vec::new();
         for property in [
@@ -644,10 +668,14 @@ fn run_profile(target: &str, args: &[String]) -> Result<ExitCode, Error> {
                 Outcome::Inconclusive(_) => "?",
             });
         }
-        println!(
+        outln!(
             "{:>6} {:>9} {:>7} {:>7} {:>7}",
-            d, row[0], row[1], row[2], row[3]
-        );
+            d,
+            row[0],
+            row[1],
+            row[2],
+            row[3]
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -655,9 +683,9 @@ fn run_profile(target: &str, args: &[String]) -> Result<ExitCode, Error> {
 fn run_info(target: &str) -> Result<ExitCode, Error> {
     let n = load(target)?;
     let st = walshcheck::circuit::stats::stats(&n)?;
-    println!("module {}", n.name);
-    println!("  wires:   {}", n.num_wires());
-    println!(
+    outln!("module {}", n.name)?;
+    outln!("  wires:   {}", n.num_wires())?;
+    outln!(
         "  cells:   {} ({} non-linear, {} xor, {} reg, {} buf/not; depth {})",
         n.num_cells(),
         st.nonlinear_gates,
@@ -665,17 +693,17 @@ fn run_info(target: &str) -> Result<ExitCode, Error> {
         st.registers,
         st.unary_gates,
         st.depth
-    );
+    )?;
     for (i, name) in n.secret_names.iter().enumerate() {
         let shares = n.shares_of(walshcheck::circuit::SecretId(i as u32)).len();
-        println!("  secret `{name}`: {shares} shares");
+        outln!("  secret `{name}`: {shares} shares")?;
     }
-    println!("  randoms: {}", n.randoms().len());
+    outln!("  randoms: {}", n.randoms().len())?;
     for (i, name) in n.output_names.iter().enumerate() {
         let shares = n
             .output_shares_of(walshcheck::circuit::OutputId(i as u32))
             .len();
-        println!("  output `{name}`: {shares} shares");
+        outln!("  output `{name}`: {shares} shares")?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -857,7 +885,7 @@ fn run_serve(args: &[String]) -> Result<ExitCode, Error> {
         config.fsync_events = policy;
     }
     let daemon = Daemon::bind(&config).map_err(|e| Error::Config(format!("serve: {e}")))?;
-    println!("walshcheckd listening on {}", daemon.addr());
+    outln!("walshcheckd listening on {}", daemon.addr())?;
     daemon
         .run()
         .map_err(|e| Error::Config(format!("serve: {e}")))?;
@@ -909,7 +937,7 @@ fn run_submit(target: &str, args: &[String]) -> Result<ExitCode, Error> {
     let response = client
         .submit(&spec.to_json().to_canonical(), &write_ilang(&netlist))
         .map_err(|e| Error::Config(format!("submit: {e}")))?;
-    println!("{}", response.text());
+    outln!("{}", response.text())?;
     if response.status >= 400 {
         return Err(Error::Config(format!(
             "daemon rejected the submission (HTTP {})",
@@ -938,7 +966,7 @@ fn run_status(args: &[String]) -> Result<ExitCode, Error> {
     let response = client
         .get(&path)
         .map_err(|e| Error::Config(format!("status: {e}")))?;
-    println!("{}", response.text());
+    outln!("{}", response.text())?;
     if response.status >= 400 {
         return Err(Error::Config(format!(
             "daemon returned HTTP {}",
@@ -1006,7 +1034,7 @@ fn run_fetch(id: &str, args: &[String]) -> Result<ExitCode, Error> {
             response.status
         )));
     }
-    println!("{body}");
+    outln!("{body}")?;
     let outcome = walshcheck_core::json::parse(&body)
         .ok()
         .and_then(|doc| {
@@ -1034,49 +1062,12 @@ fn main() -> ExitCode {
         Some("submit") if args.len() >= 2 => run_submit(&args[1], &args[2..]),
         Some("status") => run_status(&args[1..]),
         Some("fetch") if args.len() >= 2 => run_fetch(&args[1], &args[2..]),
-        Some("dump") if args.len() >= 2 => load(&args[1]).map(|n| {
-            print!("{}", write_ilang(&n));
-            ExitCode::SUCCESS
+        Some("dump") if args.len() >= 2 => load(&args[1]).and_then(|n| {
+            write_stdout(format_args!("{}", write_ilang(&n)))?;
+            Ok(ExitCode::SUCCESS)
         }),
-        Some("list") => {
-            for b in Benchmark::all() {
-                println!("bench:{b}");
-            }
-            for b in walshcheck::gadgets::Benchmark::extensions() {
-                println!("bench:{b}  (extension)");
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("help") | Some("--help") | Some("-h") => {
-            println!(
-                "walshcheck — exact spectral verification of probing security\n\n\
-                 subcommands:\n\
-                 \x20 check <file.il|bench:NAME> [options]   verify a property\n\
-                 \x20 info  <file.il|bench:NAME>             print port summary\n\
-                 \x20 dump  <file.il|bench:NAME>             re-emit annotated ILANG\n\
-                 \x20 list                                   list built-in benchmarks\n\
-                 \x20 serve --store DIR [--listen ADDR] [--checkpoint-every SECS]\n\
-                 \x20       [--runners N] [--max-retries N] [--retry-base-ms MS]\n\
-                 \x20       [--max-connections N] [--fsync-events always|interval|never]\n\
-\x20                                        run the walshcheckd daemon\n\
-                 \x20 submit <file.il|bench:NAME> (--addr A|--store D)\n\
-                 \x20        [--job-timeout SECS] [options]  queue a job on the daemon\n\
-                 \x20 status [ID] (--addr A|--store D)       job status (all without ID)\n\
-                 \x20 fetch  ID   (--addr A|--store D) [--wait]\n\
-                 \x20                                        print the report/5 artifact\n\
-                 \x20 (daemon commands also take --timeout SECS for the client)\n\n\
-                 options: --property probing|ni|sni|pini  --order D\n\
-                 \x20        --engine lil|map|mapi|fujita    --mode rowwise|joint\n\
-                 \x20        --glitch  --threads N  --time-limit SECS  --no-prefilter\n\
-                 \x20        --cache-budget BYTES (0 disables)  --node-budget NODES\n\
-                 \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
-                 \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
-                 \x20        --minimize  --progress  --json\n\n\
-                 exit codes: 0 secure, 1 violated, 2 inconclusive, 3 usage/io error,\n\
-                 \x20           4 interrupted by signal (resume with --resume)"
-            );
-            Ok(ExitCode::SUCCESS)
-        }
+        Some("list") => run_list(),
+        Some("help") | Some("--help") | Some("-h") => run_help(),
         _ => return usage(),
     };
     match result {
@@ -1086,4 +1077,45 @@ fn main() -> ExitCode {
             ExitCode::from(EXIT_ERROR)
         }
     }
+}
+
+fn run_list() -> Result<ExitCode, Error> {
+    for b in Benchmark::all() {
+        outln!("bench:{b}")?;
+    }
+    for b in walshcheck::gadgets::Benchmark::extensions() {
+        outln!("bench:{b}  (extension)")?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_help() -> Result<ExitCode, Error> {
+    outln!(
+        "walshcheck — exact spectral verification of probing security\n\n\
+         subcommands:\n\
+         \x20 check <file.il|bench:NAME> [options]   verify a property\n\
+         \x20 info  <file.il|bench:NAME>             print port summary\n\
+         \x20 dump  <file.il|bench:NAME>             re-emit annotated ILANG\n\
+         \x20 list                                   list built-in benchmarks\n\
+         \x20 serve --store DIR [--listen ADDR] [--checkpoint-every SECS]\n\
+         \x20       [--runners N] [--max-retries N] [--retry-base-ms MS]\n\
+         \x20       [--max-connections N] [--fsync-events always|interval|never]\n\
+\x20                                        run the walshcheckd daemon\n\
+         \x20 submit <file.il|bench:NAME> (--addr A|--store D)\n\
+         \x20        [--job-timeout SECS] [options]  queue a job on the daemon\n\
+         \x20 status [ID] (--addr A|--store D)       job status (all without ID)\n\
+         \x20 fetch  ID   (--addr A|--store D) [--wait]\n\
+         \x20                                        print the report/5 artifact\n\
+         \x20 (daemon commands also take --timeout SECS for the client)\n\n\
+         options: --property probing|ni|sni|pini  --order D\n\
+         \x20        --engine lil|map|mapi|fujita    --mode rowwise|joint\n\
+         \x20        --glitch  --threads N  --time-limit SECS  --no-prefilter\n\
+         \x20        --cache-budget BYTES (0 disables)  --node-budget NODES\n\
+         \x20        --rescue  --no-rescue  --rescue-attempts N  --rescue-budget BYTES\n\
+         \x20        --checkpoint FILE  --checkpoint-every SECS  --resume FILE\n\
+         \x20        --minimize  --progress  --json\n\n\
+         exit codes: 0 secure, 1 violated, 2 inconclusive, 3 usage/io error,\n\
+         \x20           4 interrupted by signal (resume with --resume)"
+    )?;
+    Ok(ExitCode::SUCCESS)
 }

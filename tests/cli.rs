@@ -1,6 +1,6 @@
 //! End-to-end tests of the `walshcheck` command-line binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn walshcheck(args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(env!("CARGO_BIN_EXE_walshcheck"))
@@ -390,4 +390,28 @@ fn glitch_flag_changes_verdicts() {
     let (stdout, _, code) = walshcheck(&["check", "bench:isw-1", "--property", "sni", "--glitch"]);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("VIOLATED"), "{stdout}");
+}
+
+/// A reader that stops early (`walshcheck list | head -1`) closes stdout
+/// under the command: the write fails with `BrokenPipe`, which must end
+/// the output quietly, never panic (exit 101), and leave the exit code the
+/// command's own — the verdict's, for `check`.
+#[test]
+fn closed_stdout_ends_output_quietly_with_the_commands_own_code() {
+    for (args, want) in [
+        (&["check", "bench:dom-2", "--property", "sni"][..], 0),
+        (&["list"][..], 0),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_walshcheck"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

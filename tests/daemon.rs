@@ -185,6 +185,36 @@ fn health_routing_and_method_mismatches() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// With no traffic at all, only the supervisor's own flag re-check can
+/// see a signal-raised stop: it must wake the blocked `accept` with a
+/// self-connect, on a loopback bind and on an unspecified one (`0.0.0.0`
+/// maps to loopback). `is_finished` is polled so a lost wake fails the
+/// test instead of hanging it.
+#[test]
+fn an_idle_daemon_stops_promptly() {
+    let guard = lock();
+    for (tag, listen) in [("idle-lo", "127.0.0.1:0"), ("idle-any", "0.0.0.0:0")] {
+        let store = temp_store(tag);
+        let (handle, _client) = start_daemon_with(&store, 1 << 20, |c| c.listen = listen.into());
+        // Let the accept thread block and the supervisor settle into a
+        // full re-check wait: nothing is queued, so no timer is armed.
+        std::thread::sleep(Duration::from_millis(300));
+        shutdown::request();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{listen}: run still serving 2 s after the stop request"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().expect("daemon thread");
+        shutdown::reset();
+        let _ = std::fs::remove_dir_all(&store);
+    }
+    drop(guard);
+}
+
 #[test]
 fn malformed_submissions_are_rejected_not_crashed() {
     let guard = lock();
@@ -587,6 +617,87 @@ fn deadline_times_out_and_automatic_retry_resumes_exactly() {
         .expect("report");
     let reference = reference_artifact(&netlist, Property::Sni(1), 1);
     assert_eq!(fetched.text(), reference.canonical_json());
+
+    stop_daemon(handle);
+    drop(guard);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Deadlines and retry backoff are the supervisor's own timers, not a
+/// side effect of HTTP traffic: after the submit, no request reaches the
+/// daemon, and the job is observed only through the in-process manager.
+/// It must still time out, retry on its own and finish byte-identical to
+/// an uninterrupted run.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn deadlines_and_retries_fire_without_http_traffic() {
+    use walshcheck::daemon::JobState;
+
+    let guard = lock();
+    let store = temp_store("quiet-deadline");
+    shutdown::reset();
+    let mut config = DaemonConfig::new(&store);
+    config.checkpoint_every = Duration::ZERO;
+    config.max_retries = 3;
+    config.retry_base = Duration::from_millis(300);
+    let daemon = Daemon::bind(&config).expect("daemon binds");
+    let manager = std::sync::Arc::clone(daemon.manager());
+    let client = Client::new(daemon.addr().to_string());
+    let handle = std::thread::spawn(move || daemon.run().expect("daemon serves"));
+    let netlist = Benchmark::Dom(1).netlist();
+
+    let fault = FaultPlan::set("job-stall-ms=1500");
+    let mut spec = JobSpec::new(Property::Sni(1));
+    spec.threads = 1;
+    spec.timeout_secs = Some(1);
+    let response = client
+        .submit(&spec.to_json().to_canonical(), &write_ilang(&netlist))
+        .expect("submit");
+    assert_eq!(response.status, 201, "{}", response.text());
+    let id = field(&json::parse(&response.text()).expect("JSON"), "id").to_string();
+
+    let wait_state = |want: JobState, allowed: &[JobState]| {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let record = manager.status(&id).expect("known job");
+            if record.state == want {
+                return record;
+            }
+            assert!(
+                allowed.contains(&record.state),
+                "job {id} settled in {}: {record:?}",
+                record.state.as_str()
+            );
+            assert!(
+                Instant::now() < deadline,
+                "job {id} stuck in {}, wanted {}",
+                record.state.as_str(),
+                want.as_str()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    let record = wait_state(JobState::TimedOut, &[JobState::Queued, JobState::Running]);
+    drop(fault);
+    assert!(
+        record
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("deadline")),
+        "untyped timeout: {record:?}"
+    );
+    // `timed-out` stays legal while the backoff clock runs, and again if
+    // a retry lost the race against the fault teardown.
+    let record = wait_state(
+        JobState::Done,
+        &[JobState::TimedOut, JobState::Queued, JobState::Running],
+    );
+    assert!(record.retries >= 1, "{record:?}");
+    let reference = reference_artifact(&netlist, Property::Sni(1), 1);
+    assert_eq!(
+        manager.report(&id).expect("done job has a report"),
+        reference.canonical_json()
+    );
 
     stop_daemon(handle);
     drop(guard);
