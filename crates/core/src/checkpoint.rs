@@ -37,7 +37,6 @@ use crate::error::Error;
 use crate::json::{self, Json};
 use crate::property::{IncompleteReason, Property, Witness};
 use crate::recover::{RescueAttempt, RescueResolution};
-use crate::report::json_escape;
 use crate::scheduler::{binomial, bucket_sizes, bucket_total};
 
 /// Schema tag of the checkpoint format.
@@ -288,74 +287,54 @@ pub fn fingerprint(netlist: &Netlist, property: Property, options: &VerifyOption
 
 /// Renders a checkpoint as `walshcheck-checkpoint/1` JSON.
 pub(crate) fn render(ck: &Checkpoint) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"schema\":\"");
-    out.push_str(CHECKPOINT_SCHEMA);
-    out.push_str(&format!("\",\"revision\":{REVISION},\"fingerprint\":\""));
-    out.push_str(&json_escape(&ck.fingerprint));
-    out.push_str("\",\"property\":\"");
-    out.push_str(&json_escape(&ck.property));
-    out.push_str("\",\"combinations\":");
-    out.push_str(&ck.combinations.to_string());
-    out.push_str(",\"pruned\":");
-    out.push_str(&ck.pruned.to_string());
-    out.push_str(",\"completed\":[");
-    for (i, (s, e)) in ck.completed.ranges().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{s},{e}]"));
-    }
-    out.push_str("],\"candidates\":[");
-    for (i, (index, sites, _)) in ck.candidates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"index\":{index},\"sites\":{}}}",
-            render_usize_list(sites)
-        ));
-    }
-    out.push_str("],\"skipped\":[");
-    for (i, (index, sites, reason)) in ck.skipped.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"index\":{index},\"sites\":{},\"reason\":\"{}\"}}",
-            render_usize_list(sites),
-            reason.as_str()
-        ));
-    }
-    out.push_str("],\"rescued\":[");
-    for (i, r) in ck.rescued.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let attempts: Vec<String> = r.attempts.iter().map(RescueAttempt::to_json).collect();
-        out.push_str(&format!(
-            "{{\"index\":{},\"sites\":{},\"reason\":\"{}\",\"resolution\":\"{}\",\"attempts\":[{}]}}",
-            r.index,
-            render_usize_list(&r.sites),
-            r.reason.as_str(),
-            r.resolution.as_str(),
-            attempts.join(",")
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn render_usize_list(v: &[usize]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&x.to_string());
-    }
-    s.push(']');
-    s
+    let entry = |index: u64, sites: &[usize]| {
+        vec![
+            ("index", Json::uint(index)),
+            (
+                "sites",
+                Json::Arr(sites.iter().map(|&s| Json::uint(s)).collect()),
+            ),
+        ]
+    };
+    let completed = ck
+        .completed
+        .ranges()
+        .iter()
+        .map(|&(s, e)| Json::Arr(vec![Json::uint(s), Json::uint(e)]));
+    let candidates = ck
+        .candidates
+        .iter()
+        .map(|(index, sites, _)| Json::obj(entry(*index, sites)));
+    let skipped = ck.skipped.iter().map(|(index, sites, reason)| {
+        let mut fields = entry(*index, sites);
+        fields.push(("reason", Json::str(reason.as_str())));
+        Json::obj(fields)
+    });
+    let rescued = ck.rescued.iter().map(|r| {
+        let mut fields = entry(r.index, &r.sites);
+        fields.extend([
+            ("reason", Json::str(r.reason.as_str())),
+            ("resolution", Json::str(r.resolution.as_str())),
+            (
+                "attempts",
+                Json::Arr(r.attempts.iter().map(RescueAttempt::to_json).collect()),
+            ),
+        ]);
+        Json::obj(fields)
+    });
+    Json::obj([
+        ("schema", Json::str(CHECKPOINT_SCHEMA)),
+        ("revision", Json::uint(REVISION)),
+        ("fingerprint", Json::str(ck.fingerprint.clone())),
+        ("property", Json::str(ck.property.clone())),
+        ("combinations", Json::uint(ck.combinations)),
+        ("pruned", Json::uint(ck.pruned)),
+        ("completed", Json::Arr(completed.collect())),
+        ("candidates", Json::Arr(candidates.collect())),
+        ("skipped", Json::Arr(skipped.collect())),
+        ("rescued", Json::Arr(rescued.collect())),
+    ])
+    .to_canonical()
 }
 
 /// Parses and structurally validates a checkpoint document. Fingerprint
@@ -563,7 +542,11 @@ mod tests {
             }],
         };
         let text = render(&ck);
-        assert!(text.starts_with("{\"schema\":\"walshcheck-checkpoint/1\""));
+        let doc = json::parse(&text).expect("checkpoint is JSON");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("walshcheck-checkpoint/1")
+        );
         let back = parse(&text).expect("round trip");
         assert_eq!(back.fingerprint, ck.fingerprint);
         assert_eq!(back.property, ck.property);

@@ -108,20 +108,17 @@ impl JobSpec {
     /// [`Json::to_canonical`]); inverse of [`JobSpec::parse`].
     pub fn to_json(&self) -> Json {
         let mut obj = self.identity_object();
-        obj.insert("threads".into(), Json::Int(self.threads() as i64));
+        obj.insert("threads".into(), Json::uint(self.threads()));
         obj.insert(
             "cache".into(),
-            Json::obj([("budget_bytes", Json::Int(self.options.cache_budget as i64))]),
+            Json::obj([("budget_bytes", Json::uint(self.options.cache_budget))]),
         );
         // The daemon deadline is configuration, not identity: interrupted
         // attempts resume byte-identically, so the deadline never changes
         // what the job computes — only how patiently the daemon waits.
         obj.insert(
             "timeout_secs".into(),
-            match self.timeout_secs {
-                Some(s) => Json::Int(s.min(i64::MAX as u64) as i64),
-                None => Json::Null,
-            },
+            self.timeout_secs.map_or(Json::Null, Json::uint),
         );
         Json::Obj(obj)
     }
@@ -142,7 +139,7 @@ impl JobSpec {
             "property".into(),
             Json::obj([
                 ("kind", Json::str(self.property.kind())),
-                ("order", Json::Int(i64::from(self.property.order()))),
+                ("order", Json::uint(self.property.order())),
             ]),
         );
         map.insert("engine".into(), Json::str(o.engine.as_str()));
@@ -168,24 +165,19 @@ impl JobSpec {
         map.insert("presift".into(), Json::Bool(false));
         map.insert(
             "time_limit_ms".into(),
-            match o.time_limit {
-                Some(d) => Json::Int(d.as_millis().min(i64::MAX as u128) as i64),
-                None => Json::Null,
-            },
+            o.time_limit
+                .map_or(Json::Null, |d| Json::uint(d.as_millis())),
         );
         map.insert(
             "node_budget".into(),
-            match o.node_budget {
-                Some(n) => Json::Int(n as i64),
-                None => Json::Null,
-            },
+            o.node_budget.map_or(Json::Null, Json::uint),
         );
         map.insert(
             "rescue".into(),
             Json::obj([
                 ("enabled", Json::Bool(self.rescue.enabled)),
-                ("attempts", Json::Int(i64::from(self.rescue.attempts))),
-                ("budget_bytes", Json::Int(self.rescue.budget_bytes as i64)),
+                ("attempts", Json::uint(self.rescue.attempts)),
+                ("budget_bytes", Json::uint(self.rescue.budget_bytes)),
             ]),
         );
         map

@@ -1,26 +1,26 @@
 //! A minimal JSON value type: parser plus canonical writer.
 //!
-//! The workspace emits JSON through hand-rolled writers (`report.rs`,
-//! `checkpoint.rs`) because the container has no serde; checkpoint *resume*
-//! additionally needs to read JSON back, so this module implements the small
-//! recursive-descent parser that the writers' output (and any conforming
-//! hand-edited checkpoint) round-trips through. It accepts standard JSON;
-//! numbers are split into exact integers (`i64`) and floats so 64-bit
-//! enumeration indices survive without going through `f64`.
+//! This module is the only code in the workspace that turns a value into
+//! JSON text (there is no serde). Every document walshcheck writes — run
+//! reports and `walshcheck-report/5` artifacts, checkpoints, job specs and
+//! records, daemon event lines and HTTP bodies — is built as a [`Json`]
+//! value and serialized by [`Json::to_canonical`]; the recursive-descent
+//! [`parse`] reads any of them (and any conforming hand-edited file) back.
+//! The parser accepts standard JSON; numbers are split into exact integers
+//! (`i64`) and floats so 64-bit enumeration indices survive without going
+//! through `f64`. Unsigned values enter through [`Json::uint`], which
+//! saturates at `i64::MAX` instead of wrapping.
 //!
-//! The **canonical writer** ([`Json::to_canonical`]) is the serialization
-//! the artifact store and `walshcheck-report/5` hash over: object keys
-//! sorted bytewise (objects are [`BTreeMap`]s, so this holds by
-//! construction), no insignificant whitespace, fixed float formatting
-//! ([`canonical_f64`]), and the shared string escaper of the report layer.
-//! Identical values always serialize to identical bytes, so content hashes
-//! ([`crate::hash::sha256_hex`]) of canonical documents are stable across
-//! runs, platforms and thread counts.
+//! The **canonical writer** is also the serialization the artifact store
+//! and `walshcheck-report/5` hash over: object keys sorted bytewise
+//! (objects are [`BTreeMap`]s, so this holds by construction), no
+//! insignificant whitespace, fixed float formatting ([`canonical_f64`]),
+//! and one string escaper. Identical values always serialize to identical
+//! bytes, so content hashes ([`crate::hash::sha256_hex`]) of canonical
+//! documents are stable across runs, platforms and thread counts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use crate::report::json_escape;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +101,12 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// An unsigned count, index or budget as an integer, saturating at
+    /// `i64::MAX` (the largest [`Json::Int`] holds) instead of wrapping.
+    pub fn uint(n: impl TryInto<i64>) -> Json {
+        Json::Int(n.try_into().unwrap_or(i64::MAX))
+    }
+
     /// Serializes the value canonically: object keys sorted bytewise, no
     /// whitespace, floats through [`canonical_f64`]. Equal values produce
     /// byte-identical output — the property content hashing relies on.
@@ -119,11 +125,7 @@ impl Json {
                 let _ = write!(out, "{i}");
             }
             Json::Float(f) => out.push_str(&canonical_f64(*f)),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -141,15 +143,33 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&json_escape(key));
-                    out.push_str("\":");
+                    write_string(out, key);
+                    out.push(':');
                     value.write_canonical(out);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal, quotes included.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Fixed-format float rendering for canonical documents: nine fractional
@@ -403,6 +423,23 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn escapes_strings() {
+        let text = |s: &str| Json::str(s).to_canonical();
+        assert_eq!(text("plain"), r#""plain""#);
+        assert_eq!(text("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(text("\u{1}"), r#""\u0001""#);
+        assert_eq!(text("1/2^3 — ü"), r#""1/2^3 — ü""#);
+    }
+
+    #[test]
+    fn uint_saturates_instead_of_wrapping() {
+        assert_eq!(Json::uint(7u32), Json::Int(7));
+        assert_eq!(Json::uint(u64::MAX), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(usize::MAX), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(u128::MAX), Json::Int(i64::MAX));
     }
 
     #[test]

@@ -85,5 +85,5 @@ pub use recover::{
     RecoveryReport, RescueAttempt, RescueAttemptOutcome, RescueConfig, RescueResolution,
     RescueRung, RescuedCombination,
 };
-pub use report::{run_report_json, Report, ReportCacheConfig, REPORT_SCHEMA};
+pub use report::{run_report_json, Report, REPORT_SCHEMA};
 pub use session::{Session, WitnessSearch};

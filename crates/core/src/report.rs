@@ -1,39 +1,35 @@
 //! Machine-readable run reports.
 //!
-//! The build environment vendors no serialization framework, so this module
-//! hand-rolls the small, stable JSON surface that `walshcheck check --json`
-//! emits (schema `walshcheck-report/5`, documented in the README). All
-//! emitters produce compact single-line JSON with escaped strings; numbers
-//! are plain decimals, durations are fractional seconds.
+//! Every value of a run that reaches a machine is built here as a
+//! [`Json`] value: each `to_json` below returns one, [`Report::new`]
+//! assembles the `walshcheck-report/5` artifact from them, and
+//! [`run_report_json`] the full run document that `walshcheck check
+//! --json` prints (both documented in the README and DESIGN.md §13).
+//! [`Json::to_canonical`] is the one writer that turns either into text:
+//! compact, keys sorted, floats through [`crate::json::canonical_f64`];
+//! durations are fractional seconds.
 //!
-//! Report/3 added the resilience surface on top of report/2: a top-level
-//! `"outcome"` (`"secure"` / `"violated"` / `"inconclusive"`) and a
-//! `"degradation"` block saying exactly how much of the sweep is missing
-//! from an inconclusive verdict (timeout, lost workers, quarantined
-//! combinations, resume provenance).
-//!
-//! Report/4 adds the recovery surface: an `"interrupted"` stat flag and a
-//! `"recovery"` block (`null` when the rescue pass did not run) recording
-//! every escalation-ladder attempt made for quarantined combinations.
-//!
-//! Report/5 makes results content-addressable: the run document gains
-//! `"netlist_sha256"` (hash of the canonical ILANG dump) and
-//! `"report_hash"` — the SHA-256 of the run's [`Report`] *artifact*, a
-//! canonical-JSON document carrying only the deterministic result surface
-//! (verdict, witness, quarantines, recovery, space counters — no timings,
-//! no cache counters, no thread count). Two runs of the same job produce
-//! byte-identical artifacts no matter the thread count or wall clock,
-//! which is what lets the `walshcheckd` artifact store deduplicate and
-//! serve resubmissions from disk.
+//! The run document carries the three-valued `"outcome"`, a
+//! `"degradation"` block saying how much of the sweep an inconclusive
+//! verdict is missing (timeout, lost workers, quarantined combinations,
+//! resume provenance), a `"recovery"` block (`null` when the rescue pass
+//! did not run) recording every escalation-ladder attempt, the timings and
+//! cache counters, and the content addresses `"netlist_sha256"` and
+//! `"report_hash"`. The latter is the SHA-256 of the run's [`Report`]
+//! *artifact*, a canonical document carrying only the deterministic result
+//! surface (verdict, witness, quarantines, recovery, space counters — no
+//! timings, no cache counters, no thread count). Two runs of the same job
+//! produce byte-identical artifacts no matter the thread count or wall
+//! clock, which is what lets the `walshcheckd` artifact store deduplicate
+//! and serve resubmissions from disk.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use walshcheck_circuit::netlist::Netlist;
 
 use crate::hash::sha256_hex;
 use crate::job::{netlist_sha256, JobSpec};
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::property::{CheckStats, Outcome, ProbeRef, SkippedCombination, Verdict, Witness};
 
 /// Quarantined combinations listed inline in a report before the list is
@@ -41,146 +37,117 @@ use crate::property::{CheckStats, Outcome, ProbeRef, SkippedCombination, Verdict
 /// thousands of combinations blow the budget).
 const MAX_SKIPPED_IN_REPORT: usize = 64;
 
-/// Escapes `s` as the contents of a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// `items` as an array of their JSON values, truncated to
+/// [`MAX_SKIPPED_IN_REPORT`] entries.
+fn listed<T>(items: &[T], to_json: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(
+        items
+            .iter()
+            .take(MAX_SKIPPED_IN_REPORT)
+            .map(to_json)
+            .collect(),
+    )
 }
 
-fn seconds(d: Duration) -> String {
-    format!("{:.6}", d.as_secs_f64())
+fn probes_json(probes: &[ProbeRef], netlist: Option<&Netlist>) -> Json {
+    Json::Arr(probes.iter().map(|p| p.to_json(netlist)).collect())
 }
 
 impl CheckStats {
     /// The counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"combinations\":{},\"pruned\":{},\"convolutions\":{},",
-                "\"rows_checked\":{},\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_evictions\":{},\"cache_peak_bytes\":{},",
-                "\"dd_cache_hits\":{},\"dd_cache_misses\":{},",
-                "\"dd_cache_evictions\":{},\"dd_cache_peak_bytes\":{},",
-                "\"skipped\":{},\"worker_failures\":{},",
-                "\"convolution_seconds\":{},",
-                "\"verification_seconds\":{},\"total_seconds\":{},\"timed_out\":{},",
-                "\"interrupted\":{}}}"
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("combinations", Json::uint(self.combinations)),
+            ("pruned", Json::uint(self.pruned)),
+            ("convolutions", Json::uint(self.convolutions)),
+            ("rows_checked", Json::uint(self.rows_checked)),
+            ("cache_hits", Json::uint(self.cache_hits)),
+            ("cache_misses", Json::uint(self.cache_misses)),
+            ("cache_evictions", Json::uint(self.cache_evictions)),
+            ("cache_peak_bytes", Json::uint(self.cache_peak_bytes)),
+            ("dd_cache_hits", Json::uint(self.dd_cache_hits)),
+            ("dd_cache_misses", Json::uint(self.dd_cache_misses)),
+            ("dd_cache_evictions", Json::uint(self.dd_cache_evictions)),
+            ("dd_cache_peak_bytes", Json::uint(self.dd_cache_peak_bytes)),
+            ("skipped", Json::uint(self.skipped)),
+            ("worker_failures", Json::uint(self.worker_failures)),
+            (
+                "convolution_seconds",
+                Json::Float(self.convolution_time.as_secs_f64()),
             ),
-            self.combinations,
-            self.pruned,
-            self.convolutions,
-            self.rows_checked,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_peak_bytes,
-            self.dd_cache_hits,
-            self.dd_cache_misses,
-            self.dd_cache_evictions,
-            self.dd_cache_peak_bytes,
-            self.skipped,
-            self.worker_failures,
-            seconds(self.convolution_time),
-            seconds(self.verification_time),
-            seconds(self.total_time),
-            self.timed_out,
-            self.interrupted,
-        )
+            (
+                "verification_seconds",
+                Json::Float(self.verification_time.as_secs_f64()),
+            ),
+            ("total_seconds", Json::Float(self.total_time.as_secs_f64())),
+            ("timed_out", Json::Bool(self.timed_out)),
+            ("interrupted", Json::Bool(self.interrupted)),
+        ])
     }
 }
 
 impl SkippedCombination {
     /// The quarantined combination as a JSON object; wire names resolve
     /// through `netlist` when provided.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let probes: Vec<String> = self
-            .combination
-            .iter()
-            .map(|p| p.to_json(netlist))
-            .collect();
-        format!(
-            "{{\"index\":{},\"reason\":\"{}\",\"probes\":[{}]}}",
-            self.index,
-            self.reason.as_str(),
-            probes.join(","),
-        )
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        Json::obj([
+            ("index", Json::uint(self.index)),
+            ("reason", Json::str(self.reason.as_str())),
+            ("probes", probes_json(&self.combination, netlist)),
+        ])
     }
 }
 
 impl ProbeRef {
     /// The probe as a JSON object; wire names resolve through `netlist`
     /// when provided.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let name = netlist
-            .map(|n| format!(",\"name\":\"{}\"", json_escape(n.wire_name(self.wire()))))
-            .unwrap_or_default();
-        match *self {
-            ProbeRef::Output {
-                wire,
-                output,
-                index,
-            } => format!(
-                "{{\"kind\":\"output\",\"wire\":{}{name},\"output\":{},\"share\":{}}}",
-                wire.0, output.0, index
-            ),
-            ProbeRef::Internal { wire } => {
-                format!("{{\"kind\":\"internal\",\"wire\":{}{name}}}", wire.0)
-            }
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        let mut fields = vec![("wire", Json::uint(self.wire().0))];
+        if let Some(n) = netlist {
+            fields.push(("name", Json::str(n.wire_name(self.wire()))));
         }
+        match *self {
+            ProbeRef::Output { output, index, .. } => fields.extend([
+                ("kind", Json::str("output")),
+                ("output", Json::uint(output.0)),
+                ("share", Json::uint(index)),
+            ]),
+            ProbeRef::Internal { .. } => fields.push(("kind", Json::str("internal"))),
+        }
+        Json::obj(fields)
     }
 }
 
 impl Witness {
     /// The witness as a JSON object; wire names resolve through `netlist`
     /// when provided.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let probes: Vec<String> = self
-            .combination
-            .iter()
-            .map(|p| p.to_json(netlist))
-            .collect();
-        let coefficient = match &self.coefficient {
-            Some(c) => format!("\"{}\"", json_escape(&c.to_string())),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"probes\":[{}],\"mask\":\"{}\",\"reason\":\"{}\",\"coefficient\":{}}}",
-            probes.join(","),
-            self.mask,
-            json_escape(&self.reason),
-            coefficient,
-        )
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        Json::obj([
+            ("probes", probes_json(&self.combination, netlist)),
+            ("mask", Json::str(self.mask.to_string())),
+            ("reason", Json::str(self.reason.clone())),
+            (
+                "coefficient",
+                self.coefficient
+                    .as_ref()
+                    .map_or(Json::Null, |c| Json::str(c.to_string())),
+            ),
+        ])
     }
 }
 
 impl crate::recover::RescueAttempt {
     /// The attempt as a JSON object.
-    pub fn to_json(&self) -> String {
-        let budget = match self.node_budget {
-            Some(n) => n.to_string(),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"rung\":\"{}\",\"engine\":\"{}\",\"node_budget\":{},\"outcome\":\"{}\"}}",
-            self.rung.as_str(),
-            self.engine.as_str(),
-            budget,
-            self.outcome.as_str(),
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("rung", Json::str(self.rung.as_str())),
+            ("engine", Json::str(self.engine.as_str())),
+            (
+                "node_budget",
+                self.node_budget.map_or(Json::Null, Json::uint),
+            ),
+            ("outcome", Json::str(self.outcome.as_str())),
+        ])
     }
 
     /// Reads back an object written by [`Self::to_json`].
@@ -203,48 +170,37 @@ impl crate::recover::RescueAttempt {
 impl crate::recover::RescuedCombination {
     /// The per-combination rescue record as a JSON object; wire names
     /// resolve through `netlist` when provided.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let probes: Vec<String> = self
-            .combination
-            .iter()
-            .map(|p| p.to_json(netlist))
-            .collect();
-        let attempts: Vec<String> = self.attempts.iter().map(|a| a.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"index\":{},\"reason\":\"{}\",\"probes\":[{}],",
-                "\"attempts\":[{}],\"resolution\":\"{}\"}}"
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        Json::obj([
+            ("index", Json::uint(self.index)),
+            ("reason", Json::str(self.reason.as_str())),
+            ("probes", probes_json(&self.combination, netlist)),
+            (
+                "attempts",
+                Json::Arr(self.attempts.iter().map(|a| a.to_json()).collect()),
             ),
-            self.index,
-            self.reason.as_str(),
-            probes.join(","),
-            attempts.join(","),
-            self.resolution.as_str(),
-        )
+            ("resolution", Json::str(self.resolution.as_str())),
+        ])
     }
 }
 
 impl crate::recover::RecoveryReport {
-    /// The `"recovery"` block of a report/4 document. The per-combination
-    /// list is truncated like the skipped list, with a flag saying so.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let listed: Vec<String> = self
-            .combinations
-            .iter()
-            .take(MAX_SKIPPED_IN_REPORT)
-            .map(|c| c.to_json(netlist))
-            .collect();
-        format!(
-            concat!(
-                "{{\"attempted\":{},\"resolved\":{},\"unresolved\":{},",
-                "\"combinations\":[{}],\"combinations_truncated\":{}}}"
+    /// The `"recovery"` block of a report. The per-combination list is
+    /// truncated like the skipped list, with a flag saying so.
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        Json::obj([
+            ("attempted", Json::uint(self.attempted)),
+            ("resolved", Json::uint(self.resolved)),
+            ("unresolved", Json::uint(self.unresolved)),
+            (
+                "combinations",
+                listed(&self.combinations, |c| c.to_json(netlist)),
             ),
-            self.attempted,
-            self.resolved,
-            self.unresolved,
-            listed.join(","),
-            self.combinations.len() > MAX_SKIPPED_IN_REPORT,
-        )
+            (
+                "combinations_truncated",
+                Json::Bool(self.combinations.len() > MAX_SKIPPED_IN_REPORT),
+            ),
+        ])
     }
 }
 
@@ -252,83 +208,53 @@ impl Verdict {
     /// The verdict as a JSON object (property, outcome, witness, skipped,
     /// stats, recovery). `secure` is kept next to `outcome` for 0.2
     /// consumers.
-    pub fn to_json(&self, netlist: Option<&Netlist>) -> String {
-        let witness = match &self.witness {
-            Some(w) => w.to_json(netlist),
-            None => "null".into(),
-        };
-        let skipped: Vec<String> = self
-            .skipped
-            .iter()
-            .take(MAX_SKIPPED_IN_REPORT)
-            .map(|s| s.to_json(netlist))
-            .collect();
-        let recovery = match &self.recovery {
-            Some(r) => r.to_json(netlist),
-            None => "null".into(),
-        };
-        format!(
-            concat!(
-                "{{\"property\":\"{}\",\"secure\":{},\"outcome\":\"{}\",",
-                "\"witness\":{},\"skipped\":[{}],\"stats\":{},\"recovery\":{}}}"
-            ),
-            json_escape(&self.property.to_string()),
-            self.secure,
-            self.outcome.as_str(),
-            witness,
-            skipped.join(","),
-            self.stats.to_json(),
-            recovery,
-        )
+    pub fn to_json(&self, netlist: Option<&Netlist>) -> Json {
+        Json::obj([
+            ("property", Json::str(self.property.to_string())),
+            ("secure", Json::Bool(self.secure)),
+            ("outcome", Json::str(self.outcome.as_str())),
+            ("witness", self.witness_json(netlist)),
+            ("skipped", listed(&self.skipped, |s| s.to_json(netlist))),
+            ("stats", self.stats.to_json()),
+            ("recovery", self.recovery_json(netlist)),
+        ])
+    }
+
+    fn witness_json(&self, netlist: Option<&Netlist>) -> Json {
+        self.witness
+            .as_ref()
+            .map_or(Json::Null, |w| w.to_json(netlist))
+    }
+
+    fn recovery_json(&self, netlist: Option<&Netlist>) -> Json {
+        self.recovery
+            .as_ref()
+            .map_or(Json::Null, |r| r.to_json(netlist))
     }
 }
 
-/// The prefix-cache configuration of a run, echoed in the report so cache
-/// counters can be interpreted (schema `walshcheck-report/2`).
-#[derive(Debug, Clone, Copy)]
-pub struct ReportCacheConfig {
-    /// Whether prefix-shared convolution caching was enabled.
-    pub enabled: bool,
-    /// The per-worker byte budget the run was configured with.
-    pub budget_bytes: usize,
-}
-
-impl From<&crate::engine::VerifyOptions> for ReportCacheConfig {
-    fn from(options: &crate::engine::VerifyOptions) -> Self {
-        ReportCacheConfig {
-            enabled: options.cache_budget > 0,
-            budget_bytes: options.cache_budget,
-        }
-    }
-}
-
-/// The `"degradation"` block of a report/3 document: how far the verdict is
+/// The `"degradation"` block of a run document: how far the verdict is
 /// from a full sweep. `reason` is `null` on conclusive runs.
-fn degradation_json(verdict: &Verdict, netlist: &Netlist, resumed: bool) -> String {
+fn degradation_json(verdict: &Verdict, netlist: &Netlist, resumed: bool) -> Json {
     let reason = match verdict.outcome {
-        Outcome::Inconclusive(r) => format!("\"{}\"", r.as_str()),
-        Outcome::Secure | Outcome::Violated => "null".into(),
+        Outcome::Inconclusive(r) => Json::str(r.as_str()),
+        Outcome::Secure | Outcome::Violated => Json::Null,
     };
-    let listed: Vec<String> = verdict
-        .skipped
-        .iter()
-        .take(MAX_SKIPPED_IN_REPORT)
-        .map(|s| s.to_json(Some(netlist)))
-        .collect();
-    format!(
-        concat!(
-            "{{\"reason\":{},\"timed_out\":{},\"worker_failures\":{},",
-            "\"skipped_count\":{},\"skipped\":[{}],\"skipped_truncated\":{},",
-            "\"resumed\":{}}}"
+    Json::obj([
+        ("reason", reason),
+        ("timed_out", Json::Bool(verdict.stats.timed_out)),
+        ("worker_failures", Json::uint(verdict.stats.worker_failures)),
+        ("skipped_count", Json::uint(verdict.skipped.len())),
+        (
+            "skipped",
+            listed(&verdict.skipped, |s| s.to_json(Some(netlist))),
         ),
-        reason,
-        verdict.stats.timed_out,
-        verdict.stats.worker_failures,
-        verdict.skipped.len(),
-        listed.join(","),
-        verdict.skipped.len() > MAX_SKIPPED_IN_REPORT,
-        resumed,
-    )
+        (
+            "skipped_truncated",
+            Json::Bool(verdict.skipped.len() > MAX_SKIPPED_IN_REPORT),
+        ),
+        ("resumed", Json::Bool(resumed)),
+    ])
 }
 
 /// The schema tag of the run document and of [`Report`] artifacts.
@@ -355,11 +281,8 @@ impl Report {
     /// Builds the artifact for `verdict` obtained by running `spec` on
     /// `netlist`.
     pub fn new(netlist: &Netlist, spec: &JobSpec, verdict: &Verdict) -> Report {
-        let parsed =
-            json::parse(&verdict.to_json(Some(netlist))).expect("verdict JSON is well-formed");
-        let mut result = match parsed {
-            Json::Obj(map) => map,
-            _ => unreachable!("verdict serializes to an object"),
+        let Json::Obj(mut result) = verdict.to_json(Some(netlist)) else {
+            unreachable!("a verdict is an object")
         };
         // The stats block mixes deterministic space counters with wall-clock
         // and cache telemetry; keep only the former in the artifact.
@@ -370,11 +293,14 @@ impl Report {
         // probe a few extra combinations before the cancellation bound
         // reaches them — so they are nulled whenever a witness exists
         // (exhaustive sweeps pin them exactly; cancelled sweeps cannot).
-        let stats = result.remove("stats").unwrap_or(Json::Null);
-        let exhaustive = matches!(result.get("witness"), None | Some(Json::Null));
-        for counter in ["combinations", "pruned"] {
+        result.remove("stats");
+        let exhaustive = verdict.witness.is_none();
+        for (counter, value) in [
+            ("combinations", verdict.stats.combinations),
+            ("pruned", verdict.stats.pruned),
+        ] {
             let value = if exhaustive {
-                stats.get(counter).cloned().unwrap_or(Json::Null)
+                Json::uint(value)
             } else {
                 Json::Null
             };
@@ -448,7 +374,7 @@ impl Report {
     }
 }
 
-/// The full `walshcheck check --json` run report (schema
+/// The full `walshcheck check --json` run document (schema
 /// `walshcheck-report/5`): the verdict (with its three-valued outcome,
 /// degradation block, and recovery block) plus the job configuration from
 /// `spec`, content addressing (`netlist_sha256`, `report_hash`), the
@@ -465,59 +391,49 @@ pub fn run_report_json(
     spec: &JobSpec,
     phases: &[(String, Duration)],
     resumed: bool,
-) -> String {
-    let phase_fields: Vec<String> = phases
-        .iter()
-        .map(|(name, d)| format!("\"{}\":{}", json_escape(name), seconds(*d)))
-        .collect();
+) -> Json {
     let stats = &verdict.stats;
-    let cache = ReportCacheConfig::from(&spec.options);
     let artifact = Report::new(netlist, spec, verdict);
-    format!(
-        concat!(
-            "{{\"schema\":\"{}\",\"netlist\":\"{}\",\"netlist_sha256\":\"{}\",",
-            "\"report_hash\":\"{}\",",
-            "\"engine\":\"{}\",\"mode\":\"{}\",\"threads\":{},",
-            "\"cache\":{{\"enabled\":{},\"budget_bytes\":{},\"hits\":{},",
-            "\"misses\":{},\"evictions\":{},\"peak_bytes\":{},",
-            "\"dd\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-            "\"peak_bytes\":{}}}}},",
-            "\"property\":\"{}\",\"secure\":{},\"outcome\":\"{}\",",
-            "\"degradation\":{},\"recovery\":{},\"witness\":{},",
-            "\"stats\":{},\"phases\":{{{}}}}}"
+    let budget = spec.options.cache_budget;
+    let cache = Json::obj([
+        ("enabled", Json::Bool(budget > 0)),
+        ("budget_bytes", Json::uint(budget)),
+        ("hits", Json::uint(stats.cache_hits)),
+        ("misses", Json::uint(stats.cache_misses)),
+        ("evictions", Json::uint(stats.cache_evictions)),
+        ("peak_bytes", Json::uint(stats.cache_peak_bytes)),
+        (
+            "dd",
+            Json::obj([
+                ("hits", Json::uint(stats.dd_cache_hits)),
+                ("misses", Json::uint(stats.dd_cache_misses)),
+                ("evictions", Json::uint(stats.dd_cache_evictions)),
+                ("peak_bytes", Json::uint(stats.dd_cache_peak_bytes)),
+            ]),
         ),
-        REPORT_SCHEMA,
-        json_escape(&netlist.name),
-        artifact.netlist_sha256(),
-        artifact.hash(),
-        spec.engine().as_str(),
-        spec.mode().as_str(),
-        spec.threads(),
-        cache.enabled,
-        cache.budget_bytes,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        stats.cache_peak_bytes,
-        stats.dd_cache_hits,
-        stats.dd_cache_misses,
-        stats.dd_cache_evictions,
-        stats.dd_cache_peak_bytes,
-        json_escape(&verdict.property.to_string()),
-        verdict.secure,
-        verdict.outcome.as_str(),
-        degradation_json(verdict, netlist, resumed),
-        match &verdict.recovery {
-            Some(r) => r.to_json(Some(netlist)),
-            None => "null".into(),
-        },
-        match &verdict.witness {
-            Some(w) => w.to_json(Some(netlist)),
-            None => "null".into(),
-        },
-        verdict.stats.to_json(),
-        phase_fields.join(","),
-    )
+    ]);
+    let phases = phases
+        .iter()
+        .map(|(name, d)| (name.clone(), Json::Float(d.as_secs_f64())))
+        .collect();
+    Json::obj([
+        ("schema", Json::str(REPORT_SCHEMA)),
+        ("netlist", Json::str(netlist.name.clone())),
+        ("netlist_sha256", Json::str(artifact.netlist_sha256())),
+        ("report_hash", Json::str(artifact.hash())),
+        ("engine", Json::str(spec.engine().as_str())),
+        ("mode", Json::str(spec.mode().as_str())),
+        ("threads", Json::uint(spec.threads())),
+        ("cache", cache),
+        ("property", Json::str(verdict.property.to_string())),
+        ("secure", Json::Bool(verdict.secure)),
+        ("outcome", Json::str(verdict.outcome.as_str())),
+        ("degradation", degradation_json(verdict, netlist, resumed)),
+        ("recovery", verdict.recovery_json(Some(netlist))),
+        ("witness", verdict.witness_json(Some(netlist))),
+        ("stats", stats.to_json()),
+        ("phases", Json::Obj(phases)),
+    ])
 }
 
 #[cfg(test)]
@@ -527,11 +443,10 @@ mod tests {
     use crate::property::Property;
     use walshcheck_circuit::netlist::{OutputId, WireId};
 
-    #[test]
-    fn escaping() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    /// `doc` written canonically and parsed back: what a reader of the
+    /// text sees.
+    fn reread(doc: &Json) -> Json {
+        crate::json::parse(&doc.to_canonical()).expect("canonical JSON parses")
     }
 
     #[test]
@@ -541,9 +456,12 @@ mod tests {
             pruned: 1,
             ..CheckStats::default()
         };
-        let j = s.to_json();
-        assert!(j.starts_with("{\"combinations\":3,\"pruned\":1,"));
-        assert!(j.ends_with("\"timed_out\":false,\"interrupted\":false}"));
+        let j = reread(&s.to_json());
+        assert_eq!(j.get("combinations"), Some(&Json::Int(3)));
+        assert_eq!(j.get("pruned"), Some(&Json::Int(1)));
+        assert_eq!(j.get("timed_out"), Some(&Json::Bool(false)));
+        assert_eq!(j.get("interrupted"), Some(&Json::Bool(false)));
+        assert_eq!(j.get("total_seconds").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]
@@ -561,24 +479,36 @@ mod tests {
             reason: "says \"leak\"".into(),
             coefficient: None,
         };
-        let j = w.to_json(None);
-        assert!(j.contains("\"kind\":\"output\",\"wire\":2,\"output\":0,\"share\":1"));
-        assert!(j.contains("\"kind\":\"internal\",\"wire\":5"));
-        assert!(j.contains("\\\"leak\\\""));
-        assert!(j.contains("\"coefficient\":null"));
+        let j = reread(&w.to_json(None));
+        let probes = j.get("probes").and_then(Json::as_arr).expect("probes");
+        let output = &probes[0];
+        assert_eq!(output.get("kind").and_then(Json::as_str), Some("output"));
+        assert_eq!(output.get("wire"), Some(&Json::Int(2)));
+        assert_eq!(output.get("output"), Some(&Json::Int(0)));
+        assert_eq!(output.get("share"), Some(&Json::Int(1)));
+        assert_eq!(
+            probes[1].get("kind").and_then(Json::as_str),
+            Some("internal")
+        );
+        assert_eq!(probes[1].get("wire"), Some(&Json::Int(5)));
+        assert_eq!(
+            j.get("reason").and_then(Json::as_str),
+            Some("says \"leak\"")
+        );
+        assert_eq!(j.get("coefficient"), Some(&Json::Null));
 
         let v = Verdict::conclude(Property::Sni(1), Some(w), vec![], CheckStats::default());
-        let j = v.to_json(None);
-        assert!(j.contains("\"property\":\"1-SNI\""));
-        assert!(j.contains("\"secure\":false"));
-        assert!(j.contains("\"outcome\":\"violated\""));
-        assert!(j.contains("\"witness\":{"));
+        let j = reread(&v.to_json(None));
+        assert_eq!(j.get("property").and_then(Json::as_str), Some("1-SNI"));
+        assert_eq!(j.get("secure"), Some(&Json::Bool(false)));
+        assert_eq!(j.get("outcome").and_then(Json::as_str), Some("violated"));
+        assert!(matches!(j.get("witness"), Some(Json::Obj(_))));
     }
 
     #[test]
     fn secure_verdict_has_null_witness() {
         let v = Verdict::conclude(Property::Probing(1), None, vec![], CheckStats::default());
-        let j = v.to_json(None);
+        let j = v.to_json(None).to_canonical();
         assert!(j.contains("\"witness\":null"));
         assert!(j.contains("\"outcome\":\"secure\""));
         assert!(j.contains("\"skipped\":[]"));
@@ -608,13 +538,23 @@ mod tests {
                 resolution: RescueResolution::Clean,
             }],
         };
-        let j = report.to_json(None);
-        assert!(j.starts_with("{\"attempted\":1,\"resolved\":1,\"unresolved\":0,"));
-        assert!(j.contains("\"rung\":\"budget\""));
-        assert!(j.contains("\"engine\":\"mapi\""));
-        assert!(j.contains("\"node_budget\":16"));
-        assert!(j.contains("\"resolution\":\"clean\""));
-        assert!(j.ends_with("\"combinations_truncated\":false}"));
+        let j = reread(&report.to_json(None));
+        assert_eq!(j.get("attempted"), Some(&Json::Int(1)));
+        assert_eq!(j.get("resolved"), Some(&Json::Int(1)));
+        assert_eq!(j.get("unresolved"), Some(&Json::Int(0)));
+        assert_eq!(j.get("combinations_truncated"), Some(&Json::Bool(false)));
+        let combination = &j.get("combinations").and_then(Json::as_arr).expect("list")[0];
+        assert_eq!(
+            combination.get("resolution").and_then(Json::as_str),
+            Some("clean")
+        );
+        let attempt = &combination
+            .get("attempts")
+            .and_then(Json::as_arr)
+            .expect("attempts")[0];
+        assert_eq!(attempt.get("rung").and_then(Json::as_str), Some("budget"));
+        assert_eq!(attempt.get("engine").and_then(Json::as_str), Some("mapi"));
+        assert_eq!(attempt.get("node_budget"), Some(&Json::Int(16)));
     }
 
     #[test]
@@ -626,7 +566,7 @@ mod tests {
             reason: IncompleteReason::NodeBudget,
         }];
         let v = Verdict::conclude(Property::Sni(2), None, skipped, CheckStats::default());
-        let j = v.to_json(None);
+        let j = v.to_json(None).to_canonical();
         assert!(j.contains("\"outcome\":\"inconclusive\""));
         assert!(j.contains("\"reason\":\"node-budget\""));
         assert!(j.contains("\"index\":9"));

@@ -7,6 +7,8 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use walshcheck_core::json::{self, Json};
+
 /// A client bound to one daemon address.
 #[derive(Debug, Clone)]
 pub struct Client {
@@ -147,13 +149,17 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// See [`Client::request`].
+    /// [`io::ErrorKind::InvalidInput`] when `spec_json` is not JSON;
+    /// otherwise see [`Client::request`].
     pub fn submit(&self, spec_json: &str, netlist: &str) -> io::Result<ClientResponse> {
-        let body = format!(
-            "{{\"spec\":{spec_json},\"netlist\":{}}}",
-            quote_json_string(netlist)
-        );
-        self.post("/v1/jobs", body.as_bytes())
+        let spec = json::parse(spec_json).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("spec is not JSON: {e}"),
+            )
+        })?;
+        let body = Json::obj([("spec", spec), ("netlist", Json::str(netlist))]);
+        self.post("/v1/jobs", body.to_canonical().as_bytes())
     }
 
     /// Fetches job `id`'s progress events from line `since` on;
@@ -168,11 +174,6 @@ impl Client {
             "/v1/jobs/{id}/events?since={since}&wait_ms={wait_ms}"
         ))
     }
-}
-
-/// Renders `s` as a JSON string literal (quotes included).
-fn quote_json_string(s: &str) -> String {
-    format!("\"{}\"", walshcheck_core::report::json_escape(s))
 }
 
 fn parse_response(raw: &[u8]) -> io::Result<ClientResponse> {
@@ -208,7 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn quotes_ilang_strings() {
-        assert_eq!(quote_json_string("a\nb\"c"), "\"a\\nb\\\"c\"");
+    fn submit_refuses_a_spec_that_is_not_json() {
+        // Refused before any connection is attempted: port 9 is never
+        // dialed.
+        let err = Client::new("127.0.0.1:9")
+            .submit("{\"property\":", "module m")
+            .expect_err("not JSON");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

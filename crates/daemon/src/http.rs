@@ -8,6 +8,8 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
+use walshcheck_core::json::Json;
+
 /// Upper bound on the request line + headers, in bytes.
 pub const MAX_HEAD: usize = 16 * 1024;
 
@@ -185,11 +187,8 @@ impl Response {
 
     /// A JSON error body `{"error": message}` with `status`.
     pub fn error(status: u16, message: &str) -> Self {
-        let body = format!(
-            "{{\"error\":{}}}",
-            walshcheck_core::report::json_escape(message)
-        );
-        Response::json(status, body)
+        let body = Json::obj([("error", Json::str(message))]);
+        Response::json(status, body.to_canonical())
     }
 
     /// Serializes the response onto `stream` (always `Connection: close`).

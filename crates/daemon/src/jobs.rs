@@ -163,37 +163,30 @@ pub struct JobRecord {
 impl JobRecord {
     /// The record as its canonical `status.json` document.
     pub fn to_json(&self) -> Json {
-        let artifacts: BTreeMap<String, Json> = self
-            .artifacts
-            .iter()
-            .map(|(f, h)| (f.clone(), Json::str(h.clone())))
-            .collect();
         Json::obj([
             ("schema", Json::str("walshcheck-status/2")),
             ("id", Json::str(self.id.clone())),
             ("state", Json::str(self.state.as_str())),
             ("netlist_sha256", Json::str(self.netlist_sha256.clone())),
             ("identity_hash", Json::str(self.identity_hash.clone())),
-            (
-                "error",
-                match &self.error {
-                    Some(e) => Json::str(e.clone()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "report_hash",
-                match &self.report_hash {
-                    Some(h) => Json::str(h.clone()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "retries",
-                Json::Int(self.retries.min(i64::MAX as u64) as i64),
-            ),
-            ("artifacts", Json::Obj(artifacts)),
+            ("error", self.error.clone().map_or(Json::Null, Json::Str)),
+            ("report_hash", self.report_hash_json()),
+            ("retries", Json::uint(self.retries)),
+            ("artifacts", self.artifacts_json()),
         ])
+    }
+
+    fn report_hash_json(&self) -> Json {
+        self.report_hash.clone().map_or(Json::Null, Json::Str)
+    }
+
+    fn artifacts_json(&self) -> Json {
+        let hashes = self.artifacts.iter();
+        Json::Obj(
+            hashes
+                .map(|(f, h)| (f.clone(), Json::str(h.clone())))
+                .collect(),
+        )
     }
 
     fn parse(doc: &Json) -> Option<JobRecord> {
@@ -582,17 +575,20 @@ impl JobManager {
             let now = Instant::now();
             if lines.len() > since || record.state.terminal() || self.stopping() || now >= deadline
             {
-                let slice = if since < lines.len() {
-                    &lines[since..]
-                } else {
-                    &[]
-                };
-                return Ok(format!(
-                    "{{\"next\":{},\"state\":\"{}\",\"events\":[{}]}}",
-                    lines.len(),
-                    record.state.as_str(),
-                    slice.join(",")
-                ));
+                // A torn line that later appends ran into (a crash, then
+                // a restart) is served as `null`, keeping `next` a line
+                // count.
+                let events = lines
+                    .iter()
+                    .skip(since)
+                    .map(|l| json::parse(l).unwrap_or(Json::Null))
+                    .collect();
+                return Ok(Json::obj([
+                    ("next", Json::uint(lines.len())),
+                    ("state", Json::str(record.state.as_str())),
+                    ("events", Json::Arr(events)),
+                ])
+                .to_canonical());
             }
             // Cap each wait so a lost wakeup (or daemon stop) costs at
             // most one re-check interval.
@@ -938,14 +934,7 @@ impl JobManager {
             match job.resume_from(&ck_path) {
                 Ok(()) => true,
                 Err(e) => {
-                    let _ = self.store.append_event(
-                        id,
-                        &Json::obj([
-                            ("event", Json::str("checkpoint-rejected")),
-                            ("error", Json::str(e.to_string())),
-                        ])
-                        .to_canonical(),
-                    );
+                    observer.emit("checkpoint-rejected", [("error", Json::str(e.to_string()))]);
                     let _ = self.store.quarantine_job_file(id, "checkpoint.ck");
                     false
                 }
@@ -964,7 +953,8 @@ impl JobManager {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone();
-        let run_doc = walshcheck_core::run_report_json(&netlist, &verdict, spec, &phases, resumed);
+        let run_doc = walshcheck_core::run_report_json(&netlist, &verdict, spec, &phases, resumed)
+            .to_canonical();
         let io = |e: std::io::Error| format!("store: {e}");
         self.store
             .write_job_file(id, "report.json", artifact.canonical_json().as_bytes())
@@ -1003,35 +993,18 @@ impl JobManager {
                 record.to_json().to_canonical().as_bytes(),
             );
         }
-        let jobs: BTreeMap<String, Json> = inner
-            .records
-            .iter()
-            .map(|(id, r)| {
-                let artifacts: BTreeMap<String, Json> = r
-                    .artifacts
-                    .iter()
-                    .map(|(f, h)| (f.clone(), Json::str(h.clone())))
-                    .collect();
-                (
-                    id.clone(),
-                    Json::obj([
-                        ("state", Json::str(r.state.as_str())),
-                        (
-                            "report_hash",
-                            match &r.report_hash {
-                                Some(h) => Json::str(h.clone()),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("retries", Json::Int(r.retries.min(i64::MAX as u64) as i64)),
-                        ("artifacts", Json::Obj(artifacts)),
-                    ]),
-                )
-            })
-            .collect();
+        let jobs = inner.records.iter().map(|(id, r)| {
+            let entry = Json::obj([
+                ("state", Json::str(r.state.as_str())),
+                ("report_hash", r.report_hash_json()),
+                ("retries", Json::uint(r.retries)),
+                ("artifacts", r.artifacts_json()),
+            ]);
+            (id.clone(), entry)
+        });
         let index = Json::obj([
             ("schema", Json::str("walshcheck-index/2")),
-            ("jobs", Json::Obj(jobs)),
+            ("jobs", Json::Obj(jobs.collect())),
         ]);
         let _ = self.store.write_index(index.to_canonical().as_bytes());
     }
@@ -1143,37 +1116,58 @@ struct EventWriter {
 }
 
 impl EventWriter {
-    fn emit(&self, line: String) {
-        let _ = self.store.append_event(&self.id, &line);
+    /// Appends the event line `{"event": event, ...fields}`.
+    fn emit(&self, event: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
+        let line = Json::obj([("event", Json::str(event))].into_iter().chain(fields));
+        let _ = self.store.append_event(&self.id, &line.to_canonical());
         self.signal.bump();
     }
 }
 
 impl ProgressObserver for EventWriter {
     fn run_started(&self, sites: usize, total: u64, buckets: &[(usize, u64)]) {
-        let buckets: Vec<String> = buckets.iter().map(|(k, n)| format!("[{k},{n}]")).collect();
-        self.emit(format!(
-            "{{\"event\":\"run-started\",\"sites\":{sites},\"total\":{total},\"buckets\":[{}]}}",
-            buckets.join(",")
-        ));
+        let buckets = buckets
+            .iter()
+            .map(|&(k, n)| Json::Arr(vec![Json::uint(k), Json::uint(n)]))
+            .collect();
+        self.emit(
+            "run-started",
+            [
+                ("sites", Json::uint(sites)),
+                ("total", Json::uint(total)),
+                ("buckets", Json::Arr(buckets)),
+            ],
+        );
     }
 
     fn batch_claimed(&self, worker: usize, k: usize, first_index: u64, len: usize) {
-        self.emit(format!(
-            "{{\"event\":\"batch-claimed\",\"worker\":{worker},\"k\":{k},\"first_index\":{first_index},\"len\":{len}}}"
-        ));
+        self.emit(
+            "batch-claimed",
+            [
+                ("worker", Json::uint(worker)),
+                ("k", Json::uint(k)),
+                ("first_index", Json::uint(first_index)),
+                ("len", Json::uint(len)),
+            ],
+        );
     }
 
     fn batch_finished(&self, worker: usize, checked: u64, pruned: u64) {
-        self.emit(format!(
-            "{{\"event\":\"batch-finished\",\"worker\":{worker},\"checked\":{checked},\"pruned\":{pruned}}}"
-        ));
+        self.emit(
+            "batch-finished",
+            [
+                ("worker", Json::uint(worker)),
+                ("checked", Json::uint(checked)),
+                ("pruned", Json::uint(pruned)),
+            ],
+        );
     }
 
     fn violation_found(&self, worker: usize, index: u64, _witness: &Witness) {
-        self.emit(format!(
-            "{{\"event\":\"violation-found\",\"worker\":{worker},\"index\":{index}}}"
-        ));
+        self.emit(
+            "violation-found",
+            [("worker", Json::uint(worker)), ("index", Json::uint(index))],
+        );
     }
 
     fn combination_quarantined(
@@ -1182,16 +1176,21 @@ impl ProgressObserver for EventWriter {
         index: u64,
         reason: walshcheck_core::IncompleteReason,
     ) {
-        self.emit(format!(
-            "{{\"event\":\"combination-quarantined\",\"worker\":{worker},\"index\":{index},\"reason\":\"{}\"}}",
-            reason.as_str()
-        ));
+        self.emit(
+            "combination-quarantined",
+            [
+                ("worker", Json::uint(worker)),
+                ("index", Json::uint(index)),
+                ("reason", Json::str(reason.as_str())),
+            ],
+        );
     }
 
     fn checkpoint_written(&self, _path: &std::path::Path, combinations: u64) {
-        self.emit(format!(
-            "{{\"event\":\"checkpoint-written\",\"combinations\":{combinations}}}"
-        ));
+        self.emit(
+            "checkpoint-written",
+            [("combinations", Json::uint(combinations))],
+        );
     }
 
     fn phase_timing(&self, phase: EnginePhase, elapsed: Duration) {
@@ -1199,36 +1198,48 @@ impl ProgressObserver for EventWriter {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push((phase.to_string(), elapsed));
-        self.emit(format!(
-            "{{\"event\":\"phase\",\"name\":\"{phase}\",\"seconds\":{:.6}}}",
-            elapsed.as_secs_f64()
-        ));
+        self.emit(
+            "phase",
+            [
+                ("name", Json::str(phase.to_string())),
+                ("seconds", Json::Float(elapsed.as_secs_f64())),
+            ],
+        );
     }
 
     fn rescue_started(&self, quarantined: usize) {
-        self.emit(format!(
-            "{{\"event\":\"rescue-started\",\"quarantined\":{quarantined}}}"
-        ));
+        self.emit("rescue-started", [("quarantined", Json::uint(quarantined))]);
     }
 
     fn rescue_resolved(&self, index: u64, resolution: walshcheck_core::RescueResolution) {
-        self.emit(format!(
-            "{{\"event\":\"rescue-resolved\",\"index\":{index},\"resolution\":\"{}\"}}",
-            resolution.as_str()
-        ));
+        self.emit(
+            "rescue-resolved",
+            [
+                ("index", Json::uint(index)),
+                ("resolution", Json::str(resolution.as_str())),
+            ],
+        );
     }
 
     fn rescue_finished(&self, report: &walshcheck_core::RecoveryReport) {
-        self.emit(format!(
-            "{{\"event\":\"rescue-finished\",\"attempted\":{},\"resolved\":{},\"unresolved\":{}}}",
-            report.attempted, report.resolved, report.unresolved
-        ));
+        self.emit(
+            "rescue-finished",
+            [
+                ("attempted", Json::uint(report.attempted)),
+                ("resolved", Json::uint(report.resolved)),
+                ("unresolved", Json::uint(report.unresolved)),
+            ],
+        );
     }
 
     fn run_finished(&self, stats: &CheckStats) {
-        self.emit(format!(
-            "{{\"event\":\"run-finished\",\"combinations\":{},\"pruned\":{},\"interrupted\":{}}}",
-            stats.combinations, stats.pruned, stats.interrupted
-        ));
+        self.emit(
+            "run-finished",
+            [
+                ("combinations", Json::uint(stats.combinations)),
+                ("pruned", Json::uint(stats.pruned)),
+                ("interrupted", Json::Bool(stats.interrupted)),
+            ],
+        );
     }
 }

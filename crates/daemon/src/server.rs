@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use walshcheck_core::json;
+use walshcheck_core::json::{self, Json};
 use walshcheck_core::shutdown;
 
 use crate::http::{self, read_request, Request, Response};
@@ -356,10 +356,6 @@ fn handle_connection(mut stream: TcpStream, manager: &Arc<JobManager>, max_body:
     }
 }
 
-fn record_json(record: &JobRecord) -> String {
-    record.to_json().to_canonical()
-}
-
 fn api_result(result: Result<Response, ApiError>) -> Response {
     result.unwrap_or_else(|e| Response::error(e.status, &e.message))
 }
@@ -370,30 +366,34 @@ fn route(request: &Request, manager: &Arc<JobManager>) -> Response {
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["v1", "health"]) => Response::json(
             200,
-            format!(
-                "{{\"ok\":true,\"service\":\"walshcheckd\",\"version\":\"{}\"}}",
-                env!("CARGO_PKG_VERSION")
-            ),
+            Json::obj([
+                ("ok", Json::Bool(true)),
+                ("service", Json::str("walshcheckd")),
+                ("version", Json::str(env!("CARGO_PKG_VERSION"))),
+            ])
+            .to_canonical(),
         ),
         (_, ["v1", "health"]) => Response::error(405, "health is GET-only"),
         ("POST", ["v1", "jobs"]) => api_result(submit(request, manager)),
         ("GET", ["v1", "jobs"]) => {
-            let jobs: Vec<String> = manager.list().iter().map(record_json).collect();
-            Response::json(200, format!("{{\"jobs\":[{}]}}", jobs.join(",")))
+            let jobs = manager.list().iter().map(JobRecord::to_json).collect();
+            Response::json(200, Json::obj([("jobs", Json::Arr(jobs))]).to_canonical())
         }
         (_, ["v1", "jobs"]) => Response::error(405, "jobs is GET/POST-only"),
         ("GET", ["v1", "jobs", id]) => api_result(
             manager
                 .status(id)
-                .map(|r| Response::json(200, record_json(&r))),
+                .map(|r| Response::json(200, r.to_json().to_canonical())),
         ),
         ("DELETE", ["v1", "jobs", id]) => api_result(manager.kill(id).map(|state| {
             Response::json(
                 202,
-                format!(
-                    "{{\"id\":\"{id}\",\"killing\":true,\"was\":\"{}\"}}",
-                    state.as_str()
-                ),
+                Json::obj([
+                    ("id", Json::str(*id)),
+                    ("killing", Json::Bool(true)),
+                    ("was", Json::str(state.as_str())),
+                ])
+                .to_canonical(),
             )
         })),
         (_, ["v1", "jobs", _id]) => Response::error(405, "job is GET/DELETE-only"),
@@ -418,7 +418,8 @@ fn route(request: &Request, manager: &Arc<JobManager>) -> Response {
         ("POST", ["v1", "jobs", id, "resume"]) => api_result(manager.resume(id).map(|state| {
             Response::json(
                 200,
-                format!("{{\"id\":\"{id}\",\"state\":\"{}\"}}", state.as_str()),
+                Json::obj([("id", Json::str(*id)), ("state", Json::str(state.as_str()))])
+                    .to_canonical(),
             )
         })),
         _ => Response::error(
@@ -452,11 +453,11 @@ fn submit(request: &Request, manager: &Arc<JobManager>) -> Result<Response, ApiE
     let status = if submitted.created { 201 } else { 200 };
     Ok(Response::json(
         status,
-        format!(
-            "{{\"id\":\"{}\",\"state\":\"{}\",\"cached\":{}}}",
-            submitted.id,
-            submitted.state.as_str(),
-            submitted.cached
-        ),
+        Json::obj([
+            ("id", Json::str(submitted.id)),
+            ("state", Json::str(submitted.state.as_str())),
+            ("cached", Json::Bool(submitted.cached)),
+        ])
+        .to_canonical(),
     ))
 }

@@ -99,6 +99,13 @@ fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), Error> {
     }
 }
 
+/// `eprint!` that reports a failed write (a closed stderr) as `false`
+/// instead of panicking.
+fn write_stderr(args: std::fmt::Arguments<'_>) -> bool {
+    use std::io::Write as _;
+    std::io::stderr().lock().write_fmt(args).is_ok()
+}
+
 /// Hand-rolled signal handling (no new dependencies): a `sigaction` FFI
 /// binding installs a handler for SIGINT and SIGTERM that only flips the
 /// async-signal-safe shutdown flag in `walshcheck::core::shutdown`. The
@@ -149,11 +156,11 @@ mod signals {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
+    write_stderr(format_args!(
         "usage: walshcheck <check|info|dump|list|serve|submit|status|fetch> \
          [<file.il>|bench:NAME] [options]\n\
-         run `walshcheck help` for the option list"
-    );
+         run `walshcheck help` for the option list\n"
+    ));
     ExitCode::from(EXIT_ERROR)
 }
 
@@ -255,18 +262,12 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
             }
             "--no-prefilter" => cli.prefilter = false,
             "--cache-budget" => {
-                cli.cache_budget = Some(
-                    value("--cache-budget")?
-                        .parse()
-                        .map_err(|_| bad("--cache-budget"))?,
-                )
+                cli.cache_budget =
+                    Some(budget(&value("--cache-budget")?).ok_or_else(|| bad("--cache-budget"))?)
             }
             "--node-budget" => {
-                cli.node_budget = Some(
-                    value("--node-budget")?
-                        .parse()
-                        .map_err(|_| bad("--node-budget"))?,
-                )
+                cli.node_budget =
+                    Some(budget(&value("--node-budget")?).ok_or_else(|| bad("--node-budget"))?)
             }
             "--rescue" => cli.rescue = true,
             "--no-rescue" => cli.rescue = false,
@@ -278,11 +279,8 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
                 )
             }
             "--rescue-budget" => {
-                cli.rescue_budget = Some(
-                    value("--rescue-budget")?
-                        .parse()
-                        .map_err(|_| bad("--rescue-budget"))?,
-                )
+                cli.rescue_budget =
+                    Some(budget(&value("--rescue-budget")?).ok_or_else(|| bad("--rescue-budget"))?)
             }
             "--checkpoint" => cli.checkpoint = Some(value("--checkpoint")?),
             "--checkpoint-every" => {
@@ -301,26 +299,68 @@ fn parse_options(args: &[String]) -> Result<Cli, Error> {
     Ok(cli)
 }
 
+/// A byte or node budget flag's value. Budgets above `i64::MAX` are
+/// refused: a job spec's JSON integers stop there.
+fn budget(text: &str) -> Option<usize> {
+    text.parse::<i64>()
+        .ok()
+        .and_then(|n| usize::try_from(n).ok())
+}
+
+/// The `--progress` ticker on stderr. Like `outln!`, it never panics on a
+/// closed stream: the first failed write switches it off and the run goes
+/// on.
+struct Ticker {
+    on: bool,
+    /// A `\r` status line is showing and must be ended before a new line.
+    mid_line: bool,
+}
+
+impl Ticker {
+    fn write(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.on {
+            self.on = write_stderr(args);
+        }
+    }
+
+    /// Prints `args` on a line of its own.
+    fn line(&mut self, args: std::fmt::Arguments<'_>) {
+        if std::mem::take(&mut self.mid_line) {
+            self.write(format_args!("\n"));
+        }
+        self.write(format_args!("{args}\n"));
+    }
+
+    /// Rewrites the `\r` status line.
+    fn status(&mut self, args: std::fmt::Arguments<'_>) {
+        self.write(format_args!("\r{args}"));
+        self.mid_line = true;
+    }
+}
+
 /// Drains the observer channel; with `ticker`, renders a live progress line
 /// on stderr. Returns the collected engine-phase timings for the JSON
 /// report.
 fn aggregate_events(rx: Receiver<ProgressEvent>, ticker: bool) -> Vec<(String, Duration)> {
+    let mut t = Ticker {
+        on: ticker,
+        mid_line: false,
+    };
     let mut phases = Vec::new();
     let mut total: u64 = 0;
     let mut checked: u64 = 0;
     let mut pruned: u64 = 0;
     let mut violations: u64 = 0;
     let mut last_tick = Instant::now();
-    let mut ticked = false;
     for event in rx {
         match event {
             ProgressEvent::RunStarted {
-                sites, total: t, ..
+                sites, total: n, ..
             } => {
-                total = t;
-                if ticker {
-                    eprintln!("progress: {sites} sites, {t} combinations to check");
-                }
+                total = n;
+                t.line(format_args!(
+                    "progress: {sites} sites, {n} combinations to check"
+                ));
             }
             ProgressEvent::BatchFinished {
                 checked: c,
@@ -329,38 +369,29 @@ fn aggregate_events(rx: Receiver<ProgressEvent>, ticker: bool) -> Vec<(String, D
             } => {
                 checked += c;
                 pruned += p;
-                if ticker && last_tick.elapsed() >= Duration::from_millis(100) {
-                    eprint!("\rprogress: {checked}/{total} combinations, {pruned} pruned, {violations} violation(s)");
-                    ticked = true;
+                if t.on && last_tick.elapsed() >= Duration::from_millis(100) {
+                    t.status(format_args!("progress: {checked}/{total} combinations, {pruned} pruned, {violations} violation(s)"));
                     last_tick = Instant::now();
                 }
             }
             ProgressEvent::ViolationFound { index, .. } => {
                 violations += 1;
-                if ticker {
-                    if ticked {
-                        eprintln!();
-                        ticked = false;
-                    }
-                    eprintln!("progress: violation at enumeration index {index}");
-                }
+                t.line(format_args!(
+                    "progress: violation at enumeration index {index}"
+                ));
             }
-            ProgressEvent::CombinationQuarantined { index, reason, .. } if ticker => {
-                if ticked {
-                    eprintln!();
-                    ticked = false;
-                }
-                eprintln!("progress: combination {index} quarantined ({reason})");
+            ProgressEvent::CombinationQuarantined { index, reason, .. } => {
+                t.line(format_args!(
+                    "progress: combination {index} quarantined ({reason})"
+                ));
             }
-            ProgressEvent::RescueStarted { quarantined } if ticker => {
-                if ticked {
-                    eprintln!();
-                    ticked = false;
-                }
-                eprintln!("progress: rescuing {quarantined} quarantined combination(s)");
+            ProgressEvent::RescueStarted { quarantined } => {
+                t.line(format_args!(
+                    "progress: rescuing {quarantined} quarantined combination(s)"
+                ));
             }
-            ProgressEvent::RescueAttempted { index, attempt } if ticker => {
-                eprintln!(
+            ProgressEvent::RescueAttempted { index, attempt } => {
+                t.line(format_args!(
                     "progress: rescue #{index}: {} rung ({}, budget {}) → {}",
                     attempt.rung,
                     attempt.engine,
@@ -368,49 +399,43 @@ fn aggregate_events(rx: Receiver<ProgressEvent>, ticker: bool) -> Vec<(String, D
                         .node_budget
                         .map_or_else(|| "none".into(), |n| n.to_string()),
                     attempt.outcome
-                );
+                ));
             }
-            ProgressEvent::RescueResolved { index, resolution } if ticker => {
-                eprintln!("progress: rescue #{index} resolved: {resolution}");
+            ProgressEvent::RescueResolved { index, resolution } => {
+                t.line(format_args!(
+                    "progress: rescue #{index} resolved: {resolution}"
+                ));
             }
             ProgressEvent::RescueFinished {
                 attempted,
                 resolved,
                 unresolved,
-            } if ticker => {
-                eprintln!(
+            } => {
+                t.line(format_args!(
                     "progress: rescue pass done — {attempted} attempted, \
                      {resolved} resolved, {unresolved} unresolved"
-                );
+                ));
             }
-            ProgressEvent::CheckpointWritten { path, combinations } if ticker => {
-                if ticked {
-                    eprintln!();
-                    ticked = false;
-                }
-                eprintln!(
+            ProgressEvent::CheckpointWritten { path, combinations } => {
+                t.line(format_args!(
                     "progress: checkpoint written to {} ({combinations} combinations done)",
                     path.display()
-                );
+                ));
             }
             ProgressEvent::PhaseTiming { phase, elapsed } => {
                 phases.push((phase.to_string(), elapsed));
             }
-            ProgressEvent::RunFinished { stats } if ticker => {
-                if ticked {
-                    eprintln!();
-                    ticked = false;
-                }
-                eprintln!(
+            ProgressEvent::RunFinished { stats } => {
+                t.line(format_args!(
                     "progress: done — {} combinations ({} pruned) in {:.3?}",
                     stats.combinations, stats.pruned, stats.total_time
-                );
+                ));
             }
             _ => {}
         }
     }
-    if ticked {
-        eprintln!();
+    if t.mid_line {
+        t.write(format_args!("\n"));
     }
     phases
 }
@@ -513,7 +538,7 @@ fn run_check(target: &str, args: &[String]) -> Result<ExitCode, Error> {
     if cli.json {
         outln!(
             "{}",
-            run_report_json(&netlist, &verdict, &spec, &phases, resumed)
+            run_report_json(&netlist, &verdict, &spec, &phases, resumed).to_canonical()
         )?;
     } else {
         outln!("{}: {verdict}", netlist.name)?;
@@ -1073,7 +1098,7 @@ fn main() -> ExitCode {
     match result {
         Ok(code) => code,
         Err(msg) => {
-            eprintln!("error: {msg}");
+            write_stderr(format_args!("error: {msg}\n"));
             ExitCode::from(EXIT_ERROR)
         }
     }

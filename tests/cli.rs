@@ -2,6 +2,8 @@
 
 use std::process::{Command, Stdio};
 
+use walshcheck::core::json::{self, Json};
+
 fn walshcheck(args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(env!("CARGO_BIN_EXE_walshcheck"))
         .args(args)
@@ -112,6 +114,27 @@ fn errors_are_reported_cleanly() {
         let (_, stderr, code) = walshcheck(&args);
         assert_eq!(code, Some(3), "{line}");
         assert!(stderr.contains("unknown option"), "{line}: {stderr}");
+    }
+    // A job spec's JSON integers stop at i64::MAX, so larger budgets are
+    // bad values, not numbers to wrap.
+    for (line, flag) in [
+        (
+            "check bench:dom-1 --node-budget 18446744073709551615",
+            "--node-budget",
+        ),
+        (
+            "check bench:dom-1 --cache-budget 18446744073709551615",
+            "--cache-budget",
+        ),
+        (
+            "check bench:dom-1 --rescue --rescue-budget 9223372036854775808",
+            "--rescue-budget",
+        ),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let (_, stderr, code) = walshcheck(&args);
+        assert_eq!(code, Some(3), "{line}");
+        assert!(stderr.contains(&format!("bad {flag}")), "{line}: {stderr}");
     }
 }
 
@@ -281,7 +304,6 @@ fn json_report_for_secure_gadget() {
         "\"netlist\":\"dom-1\"",
         "\"netlist_sha256\":\"",
         "\"report_hash\":\"",
-        "\"cache\":{\"enabled\":true,",
         "\"secure\":true",
         "\"outcome\":\"secure\"",
         "\"degradation\":{\"reason\":null,",
@@ -296,9 +318,75 @@ fn json_report_for_secure_gadget() {
             "missing {fragment} in:\n{stdout}"
         );
     }
+    let doc = json::parse(&stdout).expect("stdout is one JSON document");
+    let cache = doc.get("cache").expect("cache block");
+    assert_eq!(cache.get("enabled"), Some(&Json::Bool(true)), "{stdout}");
     // Machine-readable output must be the only thing on stdout.
     assert!(stdout.trim_start().starts_with('{'), "{stdout}");
     assert!(stdout.trim_end().ends_with('}'), "{stdout}");
+}
+
+/// The report/5 artifact bytes of a spread of runs, pinned by their
+/// content address: secure, violated (a `1/2^3` coefficient and a
+/// non-ASCII reason), higher-order NI, node-budget quarantines (104 of
+/// them, the list truncated at 64), a rescued run with its recovery block,
+/// the glitch model, PINI, and FUJITA. Job ids and stored artifacts name
+/// these bytes, so any change to them is a format break.
+#[test]
+fn report_artifacts_are_pinned() {
+    for (line, code, hash) in [
+        (
+            "check bench:dom-1 --property sni",
+            0,
+            "e573534be166aafeadda0dfc6b345ea6d149aa4ca662ae44b4720fde34c97918",
+        ),
+        (
+            "check bench:ti-1 --property sni --mode rowwise",
+            1,
+            "29fa1ce6f5071006cb275a05e55e2222c9ed01b909b619e454cb997c403ded6a",
+        ),
+        (
+            "check bench:fig1 --property ni --order 2",
+            1,
+            "d01c44f2acc2b458382e9d764afe8d8d04ff0bcee336e6d9648ce7a9c09671f8",
+        ),
+        (
+            "check bench:dom-2 --property sni --node-budget 1",
+            2,
+            "a4a2cd7f6b67dad88d7d8660e5df5df12d4e00f5d604863b22297c73aba34d1a",
+        ),
+        (
+            "check bench:dom-2 --property sni --node-budget 1 --rescue",
+            0,
+            "05b1c38564539ae6f555fc9868d00060867ca2eb5f56e375354e43c3b24bca1b",
+        ),
+        (
+            "check bench:isw-1 --property sni --glitch",
+            1,
+            "9068e8db3376aa6d42f0c1dd9a2545e4b448c3e04ed3ce21a02ed15bfa914916",
+        ),
+        (
+            "check bench:hpc2-1 --property pini",
+            0,
+            "9217f75fcc678394a325891131069aacf254a1cfdf2ea377b5b68c2239affc31",
+        ),
+        (
+            "check bench:keccak-1 --property probing --engine fujita --mode rowwise",
+            0,
+            "026c3263f244726fbe6e19ae8cfb473e8a68155239e665f3a92f641a13a638d6",
+        ),
+    ] {
+        let mut args: Vec<&str> = line.split(' ').collect();
+        args.push("--json");
+        let (stdout, stderr, got) = walshcheck(&args);
+        assert_eq!(got, Some(code), "{line}: {stderr}");
+        let doc = json::parse(&stdout).expect("stdout is one JSON document");
+        assert_eq!(
+            doc.get("report_hash").and_then(Json::as_str),
+            Some(hash),
+            "{line}"
+        );
+    }
 }
 
 #[test]
@@ -332,21 +420,31 @@ fn zero_cache_budget_disables_caching_without_changing_the_verdict() {
     ]);
     assert_eq!(cached.2, Some(0), "{}", cached.0);
     assert_eq!(uncached.2, Some(0), "{}", uncached.0);
-    assert!(
-        cached.0.contains("\"cache\":{\"enabled\":true,"),
+    let cache = |stdout: &str| {
+        json::parse(stdout)
+            .expect("stdout is one JSON document")
+            .get("cache")
+            .cloned()
+            .expect("cache block")
+    };
+    assert_eq!(
+        cache(&cached.0).get("enabled"),
+        Some(&Json::Bool(true)),
         "{}",
         cached.0
     );
-    assert!(
-        uncached.0.contains("\"cache\":{\"enabled\":false,"),
+    let off = cache(&uncached.0);
+    assert_eq!(
+        off.get("enabled"),
+        Some(&Json::Bool(false)),
         "{}",
         uncached.0
     );
     // Caching is a pure time/memory trade: same verdict either way, and
     // the disabled run reports all-zero counters.
-    assert!(uncached
-        .0
-        .contains("\"hits\":0,\"misses\":0,\"evictions\":0,\"peak_bytes\":0"));
+    for counter in ["hits", "misses", "evictions", "peak_bytes"] {
+        assert_eq!(off.get(counter), Some(&Json::Int(0)), "{counter}");
+    }
     assert!(cached.0.contains("\"secure\":true"));
     assert!(uncached.0.contains("\"secure\":true"));
 }
@@ -395,12 +493,20 @@ fn glitch_flag_changes_verdicts() {
 /// A reader that stops early (`walshcheck list | head -1`) closes stdout
 /// under the command: the write fails with `BrokenPipe`, which must end
 /// the output quietly, never panic (exit 101), and leave the exit code the
-/// command's own — the verdict's, for `check`.
+/// command's own — the verdict's, for `check`. A closed stderr must not
+/// panic either: it stops the `--progress` ticker, and an error still
+/// exits 3.
 #[test]
 fn closed_stdout_ends_output_quietly_with_the_commands_own_code() {
-    for (args, want) in [
-        (&["check", "bench:dom-2", "--property", "sni"][..], 0),
-        (&["list"][..], 0),
+    for (args, close_stdout, want) in [
+        (&["check", "bench:dom-2", "--property", "sni"][..], true, 0),
+        (&["list"][..], true, 0),
+        (
+            &["check", "bench:dom-2", "--property", "sni", "--progress"][..],
+            false,
+            0,
+        ),
+        (&["check", "bench:nonesuch"][..], false, 3),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_walshcheck"))
             .args(args)
@@ -408,7 +514,11 @@ fn closed_stdout_ends_output_quietly_with_the_commands_own_code() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("binary runs");
-        drop(child.stdout.take());
+        if close_stdout {
+            drop(child.stdout.take());
+        } else {
+            drop(child.stderr.take());
+        }
         let out = child.wait_with_output().expect("binary exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(want), "{args:?}: {stderr}");

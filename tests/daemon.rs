@@ -111,6 +111,15 @@ fn field<'a>(doc: &'a Json, name: &str) -> &'a str {
         .unwrap_or_else(|| panic!("{name} missing in {doc:?}"))
 }
 
+/// Asserts that `response` answers `status` with a JSON `{"error": …}`
+/// body, and returns the message.
+fn expect_error(response: &walshcheck::daemon::client::ClientResponse, status: u16) -> String {
+    let text = response.text();
+    assert_eq!(response.status, status, "{text}");
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("error body {text:?}: {e}"));
+    field(&doc, "error").to_string()
+}
+
 /// Polls `GET /v1/jobs/{id}` until the job reaches `want` (or fails the
 /// test on a terminal mismatch / timeout). Returns the final record.
 fn wait_for(client: &Client, id: &str, want: &str) -> Json {
@@ -179,6 +188,11 @@ fn health_routing_and_method_mismatches() {
         client.get("/v1/jobs/feedface/report").expect("404").status,
         404
     );
+    // Error bodies are JSON too, whatever the message holds.
+    let unknown = expect_error(&client.get("/v1/jobs/nope").expect("404"), 404);
+    assert!(unknown.contains("nope"), "{unknown}");
+    let put = client.request("PUT", "/v1/health", None).expect("405");
+    assert!(expect_error(&put, 405).contains("GET"));
 
     stop_daemon(handle);
     drop(guard);
@@ -246,6 +260,7 @@ fn malformed_submissions_are_rejected_not_crashed() {
     ] {
         let response = client.post("/v1/jobs", body.as_bytes()).expect(label);
         assert_eq!(response.status, 400, "{label}: {}", response.text());
+        expect_error(&response, 400);
     }
 
     // Oversized bodies are refused before they are buffered.
@@ -254,6 +269,7 @@ fn malformed_submissions_are_rejected_not_crashed() {
         .post("/v1/jobs", oversized.as_bytes())
         .expect("oversized");
     assert_eq!(response.status, 413, "{}", response.text());
+    expect_error(&response, 413);
 
     // Nothing above may have created a job.
     let list = client.get("/v1/jobs").expect("list");
@@ -328,6 +344,7 @@ fn submit_poll_fetch_and_cache_hit_on_resubmit() {
     // Killing a finished job is a conflict, not a state change.
     let kill = client.delete(&format!("/v1/jobs/{id}")).expect("kill");
     assert_eq!(kill.status, 409, "{}", kill.text());
+    assert!(expect_error(&kill, 409).contains("done"), "{}", kill.text());
 
     stop_daemon(handle);
     drop(guard);
